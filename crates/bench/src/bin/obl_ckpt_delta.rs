@@ -149,7 +149,7 @@ fn main() {
             }
             adapted = true;
         }
-        stepper.step_rk2(&mut grid, DT, None);
+        stepper.step(&mut grid, DT, None);
         let cur = leaf_hashes(&grid);
         let changed =
             cur.iter().filter(|(k, h)| prev.get(*k) != Some(h)).count();

@@ -17,10 +17,12 @@
 //!
 //! 3. **Distributed 4-rank A/B** (real clock, in-process machine): the
 //!    same AMR topology stepped by [`DistSim`] with `comm_overlap` on and
-//!    off, comparing the aggregated exchange (`comm.agg.*`) against the
-//!    legacy per-task exchange (`comm.halo.messages`). The run asserts
-//!    the aggregation invariant — one message per active rank pair per
-//!    phase — and a >= 25% reduction in halo message count.
+//!    off. Both settings run the aggregated exchange (`comm.agg.*`); the
+//!    per-task baseline is derived from the ghost plan — one message per
+//!    non-physical task whose source and destination ranks differ. The
+//!    run asserts the aggregation invariant — one message per active rank
+//!    pair per phase, identical with overlap on and off — and a >= 25%
+//!    reduction in halo message count against the per-task baseline.
 //!
 //! `--quick` shrinks step counts for CI. `--no-overlap` runs the
 //! shared-memory section with `comm_overlap` disabled and writes
@@ -32,6 +34,7 @@ use std::collections::HashMap;
 use ablock_amr::{AmrConfig, AmrSimulation, GradientCriterion};
 use ablock_bench::near_cubic_factors;
 use ablock_core::balance::Flag;
+use ablock_core::ghost::task_source_box;
 use ablock_core::grid::{BlockGrid, GridParams};
 use ablock_core::layout::{Boundary, RootLayout};
 use ablock_io::{phase_table, spans_table, write_metrics_json};
@@ -82,8 +85,8 @@ fn shared_memory_run(steps: usize, overlap: bool) -> MetricsSnapshot {
     ic(&mut grid);
     let mut par = ParStepper::new(solver);
     for _ in 0..steps {
-        let dt = par.max_dt(&grid);
-        par.step_rk2(&mut grid, dt);
+        let dt = par.stable_dt(&mut grid);
+        par.step(&mut grid, dt);
     }
     metrics.snapshot()
 }
@@ -147,11 +150,13 @@ fn rebalance_model_run(vranks: usize, total_blocks: usize) -> (MetricsSnapshot, 
 }
 
 /// Distributed 4-rank run over the in-process machine; returns the
-/// per-rank snapshots. A mid-domain refinement keeps prolongation
-/// (phase-2) traffic in the exchange.
-fn dist_run(steps: usize, overlap: bool) -> Vec<MetricsSnapshot> {
+/// per-rank snapshots and the per-task message count of one exchange
+/// (non-physical plan tasks whose source and destination ranks differ).
+/// A mid-domain refinement keeps prolongation (phase-2) traffic in the
+/// exchange.
+fn dist_run(steps: usize, overlap: bool) -> (Vec<MetricsSnapshot>, u64) {
     const NRANKS: usize = 4;
-    Machine::run(NRANKS, move |comm| {
+    let runs = Machine::run(NRANKS, move |comm| {
         let metrics = Metrics::recording();
         let e = Euler::<2>::new(1.4);
         let solver = SolverConfig::new(e.clone(), Scheme::muscl_rusanov())
@@ -175,11 +180,22 @@ fn dist_run(steps: usize, overlap: bool) -> Vec<MetricsSnapshot> {
             .collect();
         sim.adapt_rebalance(&comm, &flags);
         for _ in 0..steps {
-            sim.step_rk2(&comm, 1e-3);
+            sim.advance(&comm, 1e-3);
         }
-        metrics.snapshot()
+        let plan = sim.engine().plan();
+        let per_task = plan
+            .phase1()
+            .iter()
+            .chain(plan.phase2())
+            .filter_map(task_source_box)
+            .filter(|(dst, src, _)| sim.owner[dst] != sim.owner[src])
+            .count() as u64;
+        (metrics.snapshot(), per_task)
     })
-    .expect("fault-free machine run")
+    .expect("fault-free machine run");
+    let per_task = runs[0].1;
+    assert!(runs.iter().all(|r| r.1 == per_task), "replicated plans disagree");
+    (runs.into_iter().map(|r| r.0).collect(), per_task)
 }
 
 fn sum_counter(snaps: &[MetricsSnapshot], key: &str) -> u64 {
@@ -246,23 +262,24 @@ fn main() {
         "incremental plan must not reshuffle the grid: {migrated} of {nblocks}"
     );
 
-    // ---- distributed A/B: aggregated+overlapped vs legacy per-task ----
-    let on = dist_run(dist_steps, true);
-    let off = dist_run(dist_steps, false);
+    // ---- distributed A/B: overlap on vs off, against per-task sends ----
+    let (on, per_task) = dist_run(dist_steps, true);
+    let (off, _) = dist_run(dist_steps, false);
     let agg_msgs = sum_counter(&on, "comm.agg.messages");
     let expected = sum_counter(&on, "comm.agg.pair_msgs_expected");
-    let halo_msgs = sum_counter(&off, "comm.halo.messages");
     let exchanges = 2 * dist_steps as u64; // RK2: two ghost exchanges per step
+    let halo_msgs = per_task * exchanges;
     println!(
         "\ndistributed 4-rank A/B over {dist_steps} steps ({exchanges} exchanges):\n  \
          overlap on : {agg_msgs} aggregated messages ({} per exchange), \
          {} segments, {} values\n  \
-         overlap off: {halo_msgs} per-task messages ({} per exchange)\n  \
+         overlap off: {} aggregated messages\n  \
+         per-task baseline (plan-derived): {halo_msgs} messages ({per_task} per exchange)\n  \
          message reduction: {:.1}%",
         agg_msgs / exchanges,
         sum_counter(&on, "comm.agg.segments"),
         sum_counter(&on, "comm.agg.values"),
-        halo_msgs / exchanges,
+        sum_counter(&off, "comm.agg.messages"),
         100.0 * (1.0 - agg_msgs as f64 / halo_msgs as f64),
     );
     assert_eq!(
@@ -270,9 +287,9 @@ fn main() {
         "aggregated run must issue exactly one message per active rank pair per phase"
     );
     assert_eq!(
-        sum_counter(&on, "comm.halo.messages"),
-        0,
-        "overlap run must not touch the legacy per-task path"
+        sum_counter(&off, "comm.agg.messages"),
+        agg_msgs,
+        "overlap on and off must run the same aggregated exchange"
     );
     assert!(
         4 * agg_msgs <= 3 * halo_msgs,
@@ -281,7 +298,7 @@ fn main() {
     assert_eq!(
         sum_counter(&on, "dist.halo_values_recv"),
         sum_counter(&off, "dist.halo_values_recv"),
-        "both paths must deliver identical halo payload volumes"
+        "overlap on and off must deliver identical halo payload volumes"
     );
 
     let out_name =

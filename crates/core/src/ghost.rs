@@ -891,8 +891,8 @@ impl<const D: usize> PairMessage<D> {
 }
 
 /// The per-rank-pair aggregated form of a [`GhostExchange`] plan: one
-/// [`PairMessage`] per `(from, to)` rank pair per phase, replacing the
-/// one-message-per-task halo exchange. Epoch-stamped like the plan it was
+/// [`PairMessage`] per `(from, to)` rank pair per phase, instead of one
+/// message per remote task. Epoch-stamped like the plan it was
 /// derived from, so cache holders can revalidate with one compare.
 #[derive(Clone, Debug)]
 pub struct AggregatedExchange<const D: usize> {

@@ -812,20 +812,20 @@ mod tests {
         let mut st = Stepper::new(SolverConfig::new(e.clone(), Scheme::muscl_rusanov()));
         let dt = 2e-3;
         for _ in 0..3 {
-            st.step_rk2(&mut g, dt, None);
+            st.step(&mut g, dt, None);
         }
         // checkpoint
         let mut buf = Vec::new();
         save_grid(&mut buf, &g).unwrap();
         // continue original
         for _ in 0..3 {
-            st.step_rk2(&mut g, dt, None);
+            st.step(&mut g, dt, None);
         }
         // reload and continue with a fresh stepper
         let mut g2: BlockGrid<2> = load_grid(&mut buf.as_slice()).unwrap();
         let mut st2 = Stepper::new(SolverConfig::new(e, Scheme::muscl_rusanov()));
         for _ in 0..3 {
-            st2.step_rk2(&mut g2, dt, None);
+            st2.step(&mut g2, dt, None);
         }
         for (_, n) in g.blocks() {
             let id2 = g2.find(n.key()).unwrap();

@@ -7,20 +7,20 @@
 //! Communication therefore moves whole ghost-face regions between owners,
 //! amortized over blocks of cells exactly as the paper argues.
 //!
-//! Halo exchange piggybacks on the serial [`GhostExchange`] plan: every
+//! Stepping is the one time-stepping driver of `ablock_solver::driver`
+//! over a distributed [`Backend`]: this rank's owned blocks, CFL maxima
+//! reduced with `allreduce_max`, and ghost fills as message exchanges.
+//! The exchange piggybacks on the serial [`GhostExchange`] plan: every
 //! rank builds the identical plan; a task whose source block lives on a
 //! peer is satisfied by receiving the task's source read-region into the
 //! local (otherwise unused) copy of that block, then running the task
-//! locally. The default path **aggregates**: all tasks between one pair
-//! of ranks within one phase travel as a single packed message (see
-//! [`AggregatedExchange`]), segments ordered by block keys so packing is
-//! replicated-deterministic, and the sweep is split so interior fluxes
-//! compute while the exchange is in flight (`SolverConfig::comm_overlap`,
-//! DESIGN.md §13). With the toggle off, the legacy one-message-per-task
-//! exchange runs: tags are global task indices, so matching is
-//! deterministic and deadlock-free (all sends precede all receives
-//! within a phase). Both paths are bitwise-identical to the serial
-//! stepper.
+//! locally. All tasks between one pair of ranks within one phase travel
+//! as a single packed message (see [`AggregatedExchange`]), segments
+//! ordered by block keys so packing is replicated-deterministic. With
+//! `SolverConfig::comm_overlap` on (the default, DESIGN.md §13) a global
+//! fill sweeps interior blocks while the exchange is in flight; off, the
+//! exchange completes before the sweep. Either way owned interiors stay
+//! bitwise-identical to the serial stepper.
 //!
 //! Adaptation is replicated the same way: refine/coarsen flags from owned
 //! blocks are allgathered as keys, every rank derives the identical
@@ -54,26 +54,24 @@ use ablock_core::key::BlockKey;
 use ablock_core::ops::ProlongOrder;
 use ablock_core::partition::{cell_weights, inherit_owner, CurveWalk, Partitioner};
 
-use ablock_obs::phase;
-use ablock_solver::engine::{rk2_stage1_block, rk2_stage2_block, BcFn, SweepEngine, SweepSplit};
-use ablock_solver::kernel::{compute_rhs_block, compute_rhs_block_fluxes, max_rate_block};
+use ablock_obs::{phase, Metrics};
+use ablock_solver::driver::{self, sweep_serial, Backend, Plan, RefluxStores};
+use ablock_solver::engine::{BcFn, SweepEngine, SweepSplit};
 use ablock_solver::physics::Physics;
 use ablock_solver::recon::Recon;
 use ablock_solver::reflux::coarse_fine_fetch_list;
-use ablock_solver::subcycle::{self, SubcycleBackend, SubcycleState};
-use ablock_solver::{SolverConfig, TimeStepMode};
+use ablock_solver::subcycle::SubcycleState;
+use ablock_solver::SolverConfig;
 
 use crate::machine::Comm;
 
-/// Base tag for legacy halo traffic (leaves room for task indices).
-const TAG_HALO: u64 = 1 << 40;
 /// Tag for migration pair messages. One message per rank pair per
 /// rebalance; per-`(src, tag)` FIFO matching keeps successive rebalances
 /// ordered without a barrier.
 const TAG_MIGRATE: u64 = 1 << 41;
-/// Base tag for aggregated pair messages (`+ phase index`). Successive
-/// exchanges reuse the same tags; per-`(src, tag)` FIFO matching in the
-/// stash keeps them ordered without a barrier.
+/// Base tag for aggregated pair messages of global fills (`+ phase
+/// index`). Successive exchanges reuse the same tags; per-`(src, tag)`
+/// FIFO matching in the stash keeps them ordered without a barrier.
 const TAG_AGG: u64 = 1 << 42;
 /// Tag for coarsen-group sibling-interior pre-sends during adapt.
 const TAG_COARSEN: u64 = 1 << 45;
@@ -82,9 +80,9 @@ const TAG_COARSEN: u64 = 1 << 45;
 /// same global order everywhere and per-`(src, tag)` FIFO matching keeps
 /// successive fills ordered without sequence numbers.
 const TAG_SUB: u64 = 1 << 46;
-/// Tag for fine-side reflux-accumulator face fetches before a coarse
-/// level refluxes (see [`DistBackend::pre_reflux`]).
-const TAG_SUBACC: u64 = 1 << 47;
+/// Tag for fine-side flux-face fetches before a reflux (see
+/// [`DistBackend::pre_reflux`]).
+const TAG_REFLUX: u64 = 1 << 47;
 
 /// Replicated per-block weight hook for rebalancing (measured costs from
 /// step timers, cost-model estimates, …). **Must be deterministic and
@@ -105,16 +103,11 @@ pub struct DistSim<const D: usize, P: Physics> {
     walk: CurveWalk<D>,
     /// Optional measured-cost weights; interior cell counts otherwise.
     weight_fn: Option<WeightFn<D>>,
-    /// Epoch-cached per-rank-pair aggregation of the ghost plan.
-    agg: Option<AggregatedExchange<D>>,
-    /// Epoch-cached interior/halo split of this rank's owned blocks.
-    split: SweepSplit,
+    /// Epoch-cached aggregations of the plans this rank fills.
+    aggs: AggCache<D>,
     /// Epoch-keyed subcycling scratch (level tables, per-level plans,
     /// flux accumulators); empty until the first subcycled call.
     sub: SubcycleState<D>,
-    /// Epoch-cached aggregations of the per-level subcycle plans,
-    /// parallel to `sub.levels()`.
-    sub_agg: Vec<AggregatedExchange<D>>,
     /// Halo values received from peers (diagnostics).
     pub halo_values_recv: u64,
 }
@@ -141,10 +134,8 @@ impl<const D: usize, P: Physics> DistSim<D, P> {
             engine,
             walk,
             weight_fn: None,
-            agg: None,
-            split: SweepSplit::default(),
+            aggs: AggCache::default(),
             sub: SubcycleState::new(),
-            sub_agg: Vec::new(),
             halo_values_recv: 0,
         }
     }
@@ -190,383 +181,49 @@ impl<const D: usize, P: Physics> DistSim<D, P> {
         v
     }
 
-    /// Legacy distributed ghost fill, one message per remote task: remote
-    /// source regions are received from their owners; everything else
-    /// mirrors the serial plan. Selected by `comm_overlap = false`; kept
-    /// as the A/B baseline for the aggregated path.
-    pub fn halo_exchange(&mut self, comm: &Comm) {
-        self.engine.revalidate(&self.grid);
-        let me = comm.rank();
-        let plan = self.engine.plan();
-        let phase1_len = plan.phase1().len();
-
-        for (phase_idx, tasks) in [plan.phase1(), plan.phase2()].into_iter().enumerate() {
-            let base = if phase_idx == 0 { 0 } else { phase1_len };
-            // -------- sends --------
-            for (i, task) in tasks.iter().enumerate() {
-                if let Some((dst, src, bx)) = task_source_box(task) {
-                    if self.owner[&src] == me && self.owner[&dst] != me {
-                        let data = extract_box(self.grid.block(src).field(), bx);
-                        self.cfg.metrics.incr("comm.halo.messages", 1);
-                        comm.send(
-                            self.owner[&dst],
-                            TAG_HALO + (base + i) as u64,
-                            data,
-                        );
-                    }
-                }
-            }
-            // -------- receives + local application --------
-            for (i, task) in tasks.iter().enumerate() {
-                match task {
-                    GhostTask::Physical { dst, .. } | GhostTask::ClampCopy { dst, .. } => {
-                        if self.owner[dst] == me {
-                            run_one_task(&mut self.grid, task, plan);
-                        }
-                    }
-                    _ => {
-                        let (dst, src, bx) = task_source_box(task).expect("non-physical");
-                        if self.owner[&dst] != me {
-                            continue;
-                        }
-                        if self.owner[&src] != me {
-                            let data =
-                                comm.recv(self.owner[&src], TAG_HALO + (base + i) as u64);
-                            self.halo_values_recv += data.len() as u64;
-                            self.cfg.metrics.incr("dist.halo_values_recv", data.len() as u64);
-                            insert_box(self.grid.block_mut(src).field_mut(), bx, &data);
-                        }
-                        run_one_task(&mut self.grid, task, plan);
-                    }
-                }
-            }
-            // phase 2 sources include phase-1-filled ghost slabs, so the
-            // sends above must not run ahead of peers' phase 1
-            if phase_idx == 0 {
-                comm.barrier();
-            }
-        }
-    }
-
-    /// Revalidate the plan and, when the topology epoch moved (or on
-    /// first use), rebuild the epoch-cached aggregation and this rank's
-    /// interior/halo split. Rebalance and adapt both bump the epoch, so
-    /// ownership changes invalidate these caches automatically.
-    fn refresh_overlap_caches(&mut self, me: usize) {
-        self.engine.revalidate(&self.grid);
-        let stale = match &self.agg {
-            Some(a) => !a.is_current(&self.grid),
-            None => true,
-        };
-        if stale {
-            let owner = &self.owner;
-            self.agg = Some(self.engine.plan().aggregate(&self.grid, &|id| owner[&id]));
-            self.split = self
-                .engine
-                .split_remote(&self.owned_ids(me), &|id| owner[&id] != me);
-        }
-    }
-
-    /// Global CFL time step across all owned blocks, at the configured
-    /// CFL number.
-    pub fn max_dt(&self, comm: &Comm) -> f64 {
-        let me = comm.rank();
-        let mut rate: f64 = 0.0;
-        for id in self.owned_ids(me) {
-            let node = self.grid.block(id);
-            let h = self
-                .grid
-                .layout()
-                .cell_size(node.key().level, self.grid.params().block_dims);
-            rate = rate.max(max_rate_block(&self.cfg.physics, node.field(), h));
-        }
-        let global = comm.allreduce_max(rate);
-        if global > 0.0 {
-            self.cfg.cfl / global
-        } else {
-            f64::INFINITY
-        }
-    }
-
-    fn eval_rhs(&mut self, comm: &Comm) {
-        if self.cfg.comm_overlap {
-            self.eval_rhs_overlap(comm);
-            return;
-        }
-        self.halo_exchange(comm);
-        let ids = self.owned_ids(comm.rank());
-        let sw = self.engine.sweep();
-        for id in ids {
-            let node = self.grid.block(id);
-            let h = self
-                .grid
-                .layout()
-                .cell_size(node.key().level, self.grid.params().block_dims);
-            compute_rhs_block(
-                &self.cfg.physics,
-                self.cfg.scheme,
-                node.field(),
-                h,
-                &mut sw.rhs[id.index()],
-                sw.prim_scratch,
-            );
-        }
-    }
-
-    /// Flux one half of the interior/halo split.
-    fn sweep_ids(&mut self, ids: &[BlockId]) {
-        let sw = self.engine.sweep();
-        for &id in ids {
-            let node = self.grid.block(id);
-            let h = self
-                .grid
-                .layout()
-                .cell_size(node.key().level, self.grid.params().block_dims);
-            compute_rhs_block(
-                &self.cfg.physics,
-                self.cfg.scheme,
-                node.field(),
-                h,
-                &mut sw.rhs[id.index()],
-                sw.prim_scratch,
-            );
-        }
-    }
-
-    /// Aggregated exchange with comm/compute overlap (the default path;
-    /// DESIGN.md §13). Per phase, all traffic to one peer travels as a
-    /// single vectored message; interior fluxes are computed between the
-    /// eager phase-1 sends and the receives, so the exchange is in flight
-    /// during the bulk of the sweep. Every send precedes the matching
-    /// receive on every rank (phase-1 sends are the first comm op of an
-    /// exchange; phase-2 sends depend only on this rank's completed
-    /// phase 1), so the path needs no inter-phase barrier and cannot
-    /// deadlock. Bitwise-identical to [`DistSim::halo_exchange`] plus a
-    /// full sweep: the per-task arithmetic is untouched and every ghost
-    /// cell is written exactly once per exchange, so only the execution
-    /// order across blocks changes.
-    fn eval_rhs_overlap(&mut self, comm: &Comm) {
-        let me = comm.rank();
-        self.refresh_overlap_caches(me);
-        let ghost_span = self.cfg.metrics.span(phase::GHOST_FILL);
-        // -------- eager phase-1 sends + purely local ghost work --------
-        {
-            let plan = self.engine.plan();
-            let agg = self.agg.as_ref().expect("refreshed above");
-            let expected = (0..2)
-                .map(|p| agg.phase(p).iter().filter(|m| m.from == me).count() as u64)
-                .sum::<u64>();
-            self.cfg.metrics.incr("comm.agg.pair_msgs_expected", expected);
-            {
-                let _p = self.cfg.metrics.span(phase::PACK);
-                for msg in agg.phase(0).iter().filter(|m| m.from == me) {
-                    let parts = msg.pack_parts(&self.grid);
-                    let slices: Vec<&[f64]> = parts.iter().map(Vec::as_slice).collect();
-                    self.cfg.metrics.incr("comm.agg.messages", 1);
-                    self.cfg.metrics.incr("comm.agg.values", msg.values as u64);
-                    self.cfg.metrics.incr("comm.agg.segments", msg.segments.len() as u64);
-                    comm.send_vectored(msg.to, TAG_AGG, &slices);
-                }
-            }
-            // Local phase 1: boundary tasks and local-source copies; the
-            // remote-source tasks wait for the unpack below.
-            for task in plan.phase1() {
-                match task {
-                    GhostTask::Physical { dst, .. } | GhostTask::ClampCopy { dst, .. } => {
-                        if self.owner[dst] == me {
-                            run_one_task(&mut self.grid, task, plan);
-                        }
-                    }
-                    _ => {
-                        let (dst, src, _) = task_source_box(task).expect("non-physical");
-                        if self.owner[&dst] == me && self.owner[&src] == me {
-                            run_one_task(&mut self.grid, task, plan);
-                        }
-                    }
-                }
-            }
-            // Phase 2 for interior destinations: by the split's one-hop
-            // closure their sources are local with locally completed
-            // phase-1 slabs, so these prolongations are final already.
-            for task in plan.phase2() {
-                if let Some((dst, src, _)) = task_source_box(task) {
-                    if self.owner[&dst] == me
-                        && self.owner[&src] == me
-                        && self.split.halo.binary_search(&dst).is_err()
-                    {
-                        run_one_task(&mut self.grid, task, plan);
-                    }
-                }
-            }
-        }
-        // -------- interior fluxes while the exchange is in flight --------
-        {
-            let _o = self.cfg.metrics.span(phase::OVERLAP);
-            let _f = self.cfg.metrics.span(phase::FLUX);
-            let interior = std::mem::take(&mut self.split.interior);
-            self.sweep_ids(&interior);
-            self.split.interior = interior;
-        }
-        // -------- join: drain the exchange, finish halo ghosts --------
-        {
-            let plan = self.engine.plan();
-            let agg = self.agg.as_ref().expect("refreshed above");
-            {
-                let _u = self.cfg.metrics.span(phase::UNPACK);
-                for msg in agg.phase(0).iter().filter(|m| m.to == me) {
-                    let parts = comm.recv_vectored(msg.from, TAG_AGG, &msg.lens());
-                    let n: u64 = parts.iter().map(|p| p.len() as u64).sum();
-                    self.halo_values_recv += n;
-                    self.cfg.metrics.incr("dist.halo_values_recv", n);
-                    msg.unpack(&mut self.grid, &parts);
-                }
-            }
-            for task in plan.phase1() {
-                if let Some((dst, src, _)) = task_source_box(task) {
-                    if self.owner[&dst] == me && self.owner[&src] != me {
-                        run_one_task(&mut self.grid, task, plan);
-                    }
-                }
-            }
-            // Phase-2 sends read this rank's now-complete phase-1 slabs.
-            {
-                let _p = self.cfg.metrics.span(phase::PACK);
-                for msg in agg.phase(1).iter().filter(|m| m.from == me) {
-                    let parts = msg.pack_parts(&self.grid);
-                    let slices: Vec<&[f64]> = parts.iter().map(Vec::as_slice).collect();
-                    self.cfg.metrics.incr("comm.agg.messages", 1);
-                    self.cfg.metrics.incr("comm.agg.values", msg.values as u64);
-                    self.cfg.metrics.incr("comm.agg.segments", msg.segments.len() as u64);
-                    comm.send_vectored(msg.to, TAG_AGG + 1, &slices);
-                }
-            }
-            for task in plan.phase2() {
-                if let Some((dst, src, _)) = task_source_box(task) {
-                    if self.owner[&dst] == me
-                        && self.owner[&src] == me
-                        && self.split.halo.binary_search(&dst).is_ok()
-                    {
-                        run_one_task(&mut self.grid, task, plan);
-                    }
-                }
-            }
-            {
-                let _u = self.cfg.metrics.span(phase::UNPACK);
-                for msg in agg.phase(1).iter().filter(|m| m.to == me) {
-                    let parts = comm.recv_vectored(msg.from, TAG_AGG + 1, &msg.lens());
-                    let n: u64 = parts.iter().map(|p| p.len() as u64).sum();
-                    self.halo_values_recv += n;
-                    self.cfg.metrics.incr("dist.halo_values_recv", n);
-                    msg.unpack(&mut self.grid, &parts);
-                }
-            }
-            for task in plan.phase2() {
-                if let Some((dst, src, _)) = task_source_box(task) {
-                    if self.owner[&dst] == me && self.owner[&src] != me {
-                        run_one_task(&mut self.grid, task, plan);
-                    }
-                }
-            }
-        }
-        drop(ghost_span);
-        // -------- halo fluxes after the join --------
-        {
-            let _f = self.cfg.metrics.span(phase::FLUX);
-            let halo = std::mem::take(&mut self.split.halo);
-            self.sweep_ids(&halo);
-            self.split.halo = halo;
-        }
-    }
-
-    /// One SSP-RK2 step of the owned blocks.
-    pub fn step_rk2(&mut self, comm: &Comm, dt: f64) {
-        let ids = self.owned_ids(comm.rank());
-        self.eval_rhs(comm);
-        {
-            let sw = self.engine.sweep();
-            for &id in &ids {
-                let node = self.grid.block_mut(id);
-                rk2_stage1_block(
-                    &self.cfg.physics,
-                    node.field_mut(),
-                    &sw.rhs[id.index()],
-                    &mut sw.stage[id.index()],
-                    dt,
-                );
-            }
-        }
-        self.eval_rhs(comm);
-        let sw = self.engine.sweep();
-        for &id in &ids {
-            let node = self.grid.block_mut(id);
-            rk2_stage2_block(
-                &self.cfg.physics,
-                node.field_mut(),
-                &sw.rhs[id.index()],
-                &sw.stage[id.index()],
-                dt,
-            );
-        }
-    }
-
-    /// Largest stable coarsest-level `dt₀` for subcycling
-    /// ([`subcycle::max_dt0`]): one scan of every owned block, reduced
-    /// per level with `allreduce_max`. The `f64` max reduction is exact
-    /// and order-independent, so every rank computes a `dt₀` bitwise
-    /// equal to the serial stepper's.
-    pub fn max_dt0(&mut self, comm: &Comm) -> f64 {
-        let mut sub = std::mem::take(&mut self.sub);
-        let mut backend = DistBackend {
+    /// This rank's [`Backend`] view (every field but the grid) and the
+    /// grid, borrowed apart for the driver.
+    fn backend<'a>(&'a mut self, comm: &'a Comm) -> (DistBackend<'a, D, P>, &'a mut BlockGrid<D>) {
+        let b = DistBackend {
             cfg: &self.cfg,
             engine: &mut self.engine,
+            sub: &mut self.sub,
             owner: &self.owner,
-            sub_agg: &mut self.sub_agg,
+            aggs: &mut self.aggs,
             halo_values_recv: &mut self.halo_values_recv,
             comm,
             me: comm.rank(),
         };
-        let dt0 = subcycle::max_dt0(&mut backend, &self.grid, &mut sub);
-        self.sub = sub;
-        dt0
+        (b, &mut self.grid)
     }
 
-    /// One subcycled hierarchy advance by `dt0` (DESIGN.md §17): the
-    /// shared driver recursion over this rank's owned blocks, with
-    /// aggregated per-level ghost fills and fine-side accumulator
-    /// fetches before each coarse reflux. The recursion, fill
-    /// arithmetic, and reflux order are identical to the serial
-    /// stepper's, so owned interiors stay bitwise-identical to it.
-    pub fn step_subcycled(&mut self, comm: &Comm, dt0: f64) {
-        let mut sub = std::mem::take(&mut self.sub);
-        let mut backend = DistBackend {
-            cfg: &self.cfg,
-            engine: &mut self.engine,
-            owner: &self.owner,
-            sub_agg: &mut self.sub_agg,
-            halo_values_recv: &mut self.halo_values_recv,
-            comm,
-            me: comm.rank(),
-        };
-        subcycle::step_subcycled(&mut backend, &mut self.grid, &mut sub, dt0, None);
-        self.sub = sub;
-    }
-
-    /// The stable step for the configured [`TimeStepMode`]: the global
-    /// CFL `dt` or the subcycled coarsest-level `dt₀`.
+    /// The stable step for the configured mode (see
+    /// [`driver::stable_dt`]): the maxima are reduced with
+    /// `allreduce_max`, which is exact and order-independent, so every
+    /// rank computes a step bitwise equal to the serial stepper's.
+    /// Collective.
     pub fn stable_dt(&mut self, comm: &Comm) -> f64 {
-        match self.cfg.time_step_mode {
-            TimeStepMode::Global => self.max_dt(comm),
-            TimeStepMode::Subcycled => self.max_dt0(comm),
-        }
+        let (mut b, grid) = self.backend(comm);
+        driver::stable_dt(&mut b, grid)
     }
 
-    /// Advance one step with the configured [`TimeStepMode`]: a global
-    /// SSP-RK2 step or one subcycled coarsest-level cycle.
+    /// Advance this rank's owned blocks by `dt` with the configured mode
+    /// and integrator (see [`driver::step`]). Collective.
     pub fn advance(&mut self, comm: &Comm, dt: f64) {
-        match self.cfg.time_step_mode {
-            TimeStepMode::Global => self.step_rk2(comm, dt),
-            TimeStepMode::Subcycled => self.step_subcycled(comm, dt),
-        }
+        let (mut b, grid) = self.backend(comm);
+        driver::step(&mut b, grid, dt, None);
+    }
+
+    /// Fill every owned block's ghosts with the aggregated exchange of
+    /// the full plan — the fill a global step runs, without its sweep.
+    /// Collective.
+    pub fn fill_ghosts(&mut self, comm: &Comm) {
+        let (mut b, grid) = self.backend(comm);
+        b.refresh(grid, Plan::Global);
+        let x = b.exchange(Plan::Global, false);
+        x.start(grid);
+        let n = x.finish(grid);
+        *b.halo_values_recv += n;
     }
 
     /// Replicated adapt: flags for owned blocks are allgathered as keys,
@@ -840,184 +497,152 @@ impl<const D: usize, P: Physics> DistSim<D, P> {
     }
 }
 
+/// Epoch-cached per-rank-pair aggregations of the plans this rank fills.
+#[derive(Default)]
+struct AggCache<const D: usize> {
+    /// The engine's full plan.
+    global: Option<AggregatedExchange<D>>,
+    /// Interior/halo split of this rank's owned blocks for overlapped
+    /// global fills, rebuilt with `global`.
+    split: SweepSplit,
+    /// Subcycle level plans, by level index.
+    levels: Vec<Option<AggregatedExchange<D>>>,
+}
+
 /// Disjoint-field borrow of a [`DistSim`] (everything but the grid,
-/// which the subcycled driver borrows separately) plus the communicator
-/// the driver signatures don't carry. Implements [`SubcycleBackend`]
-/// over this rank's owned blocks.
+/// which the driver borrows separately) plus the communicator the
+/// driver signatures don't carry: the distributed [`Backend`] over this
+/// rank's owned blocks.
 struct DistBackend<'a, const D: usize, P: Physics> {
     cfg: &'a SolverConfig<P>,
     engine: &'a mut SweepEngine<D>,
+    sub: &'a mut SubcycleState<D>,
     owner: &'a HashMap<BlockId, usize>,
-    sub_agg: &'a mut Vec<AggregatedExchange<D>>,
+    aggs: &'a mut AggCache<D>,
     halo_values_recv: &'a mut u64,
     comm: &'a Comm,
     me: usize,
 }
 
-impl<const D: usize, P: Physics> SubcycleBackend<D> for DistBackend<'_, D, P> {
+impl<const D: usize, P: Physics> DistBackend<'_, D, P> {
+    /// Revalidate the caches `plan`'s exchange reads when the topology
+    /// epoch moved (adapt and rebalance both bump it, so ownership
+    /// changes invalidate them too).
+    fn refresh(&mut self, grid: &BlockGrid<D>, plan: Plan<'_, D>) {
+        let owner = self.owner;
+        let current = |a: &Option<AggregatedExchange<D>>| a.as_ref().is_some_and(|a| a.is_current(grid));
+        match plan {
+            Plan::Global => {
+                self.engine.revalidate(grid);
+                if !current(&self.aggs.global) {
+                    let owned = self.owned_ids(grid);
+                    let me = self.me;
+                    self.aggs.global = Some(self.engine.plan().aggregate(grid, &|id| owner[&id]));
+                    self.aggs.split = self.engine.split_remote(&owned, &|id| owner[&id] != me);
+                }
+            }
+            Plan::Level(li, plan) => {
+                if self.aggs.levels.len() <= li {
+                    self.aggs.levels.resize_with(li + 1, || None);
+                }
+                if !current(&self.aggs.levels[li]) {
+                    self.aggs.levels[li] = Some(plan.aggregate(grid, &|id| owner[&id]));
+                }
+            }
+        }
+    }
+
+    /// The exchange of a refreshed `plan`; under `overlap`, local
+    /// phase-2 tasks into interior blocks run before the join.
+    fn exchange<'s>(&'s self, plan: Plan<'s, D>, overlap: bool) -> Exchange<'s, D> {
+        let (plan, agg, tag) = match plan {
+            Plan::Global => (self.engine.plan(), &self.aggs.global, TAG_AGG),
+            Plan::Level(li, plan) => (plan, &self.aggs.levels[li], TAG_SUB),
+        };
+        Exchange {
+            comm: self.comm,
+            me: self.me,
+            owner: self.owner,
+            metrics: &self.cfg.metrics,
+            plan,
+            agg: agg.as_ref().expect("exchange before refresh"),
+            tag,
+            halo: overlap.then_some(&self.aggs.split.halo[..]),
+        }
+    }
+}
+
+impl<const D: usize, P: Physics> Backend<D> for DistBackend<'_, D, P> {
     type Phys = P;
+
+    fn cfg(&self) -> &SolverConfig<P> {
+        self.cfg
+    }
 
     fn cfg_engine(&mut self) -> (&SolverConfig<P>, &mut SweepEngine<D>) {
         (self.cfg, self.engine)
     }
 
-    fn level_ids(&self, grid: &BlockGrid<D>, level: u8) -> Vec<BlockId> {
-        let mut v: Vec<BlockId> = grid
-            .block_ids()
-            .into_iter()
-            .filter(|id| self.owner[id] == self.me && grid.block(*id).key().level == level)
-            .collect();
-        v.sort();
-        v
+    fn sub_state(&mut self) -> &mut SubcycleState<D> {
+        self.sub
     }
 
     fn is_owned(&self, id: BlockId) -> bool {
         self.owner[&id] == self.me
     }
 
-    /// Distributed per-level fill: the level's filtered plan travels as
-    /// aggregated pair messages (one per rank pair per phase, exactly
-    /// like the global path's exchange), wrapped in the time
-    /// interpolation of this rank's owned prolongation sources — owners
-    /// blend *before* packing, so mirrors receive owner-interpolated
-    /// data and are never restored. Every rank runs the identical driver
-    /// recursion, so fills are globally ordered and all sends precede
-    /// the matching receives: no barrier, no deadlock.
-    fn fill_level(
+    /// The aggregated exchange of `plan`, then the sweep. With
+    /// `comm_overlap`, a global fill sweeps the interior blocks between
+    /// the eager phase-1 sends and the receives, so the exchange is in
+    /// flight during the bulk of the sweep, and the halo blocks after
+    /// the join. Bitwise-identical either way: every ghost cell is
+    /// written exactly once per exchange with untouched per-task
+    /// arithmetic, so only the execution order across blocks changes.
+    /// Level fills arrive with owner-interpolated prolongation sources,
+    /// so mirrors receive interpolated data and are never restored.
+    fn fill_sweep(
         &mut self,
         grid: &mut BlockGrid<D>,
-        state: &SubcycleState<D>,
-        li: usize,
-        theta: f64,
+        plan: Plan<'_, D>,
+        ids: &[BlockId],
         _bc: Option<&BcFn<D>>,
     ) {
-        // rebuild the per-level aggregations when the topology epoch
-        // moved (adapt, rebalance) — same cadence as the engine's plan
-        let nlv = state.levels().len();
-        let stale =
-            self.sub_agg.len() != nlv || self.sub_agg.iter().any(|a| !a.is_current(grid));
-        if stale {
-            let owner = self.owner;
-            self.sub_agg.clear();
-            for l in 0..nlv {
-                self.sub_agg.push(state.plan(l).aggregate(grid, &|id| owner[&id]));
-            }
-        }
+        let overlap = self.cfg.comm_overlap && matches!(plan, Plan::Global);
+        self.refresh(grid, plan);
         let metrics = self.cfg.metrics.clone();
-        let _span = metrics.span(phase::GHOST_FILL);
-        let me = self.me;
-        let comm = self.comm;
-        let owner = self.owner;
-        let agg = &self.sub_agg[li];
-        let hrecv: &mut u64 = self.halo_values_recv;
-        state.with_lerped_sources(grid, li, theta, |grid, plan| {
-            for (ph, tasks) in [plan.phase1(), plan.phase2()].into_iter().enumerate() {
-                let tag = TAG_SUB + ph as u64;
-                // sends first (replicated pair plan, unbounded channels);
-                // phase-2 sources read this rank's completed phase 1
-                for msg in agg.phase(ph).iter().filter(|m| m.from == me) {
-                    let parts = msg.pack_parts(grid);
-                    let slices: Vec<&[f64]> = parts.iter().map(Vec::as_slice).collect();
-                    metrics.incr("comm.agg.messages", 1);
-                    metrics.incr("comm.agg.values", msg.values as u64);
-                    metrics.incr("comm.agg.segments", msg.segments.len() as u64);
-                    comm.send_vectored(msg.to, tag, &slices);
-                }
-                // purely local tasks
-                for task in tasks {
-                    match task {
-                        GhostTask::Physical { dst, .. } | GhostTask::ClampCopy { dst, .. } => {
-                            if owner[dst] == me {
-                                run_one_task(grid, task, plan);
-                            }
-                        }
-                        _ => {
-                            let (dst, src, _) = task_source_box(task).expect("non-physical");
-                            if owner[&dst] == me && owner[&src] == me {
-                                run_one_task(grid, task, plan);
-                            }
-                        }
-                    }
-                }
-                // drain the phase's traffic into local mirrors
-                for msg in agg.phase(ph).iter().filter(|m| m.to == me) {
-                    let parts = comm.recv_vectored(msg.from, tag, &msg.lens());
-                    let n: u64 = parts.iter().map(|p| p.len() as u64).sum();
-                    *hrecv += n;
-                    metrics.incr("dist.halo_values_recv", n);
-                    msg.unpack(grid, &parts);
-                }
-                // remote-source tasks now have fresh mirrors
-                for task in tasks {
-                    if let Some((dst, src, _)) = task_source_box(task) {
-                        if owner[&dst] == me && owner[&src] != me {
-                            run_one_task(grid, task, plan);
-                        }
-                    }
-                }
-            }
-        });
-    }
-
-    fn sweep_level(&mut self, grid: &BlockGrid<D>, ids: &[BlockId]) {
-        let _span = self.cfg.metrics.span(phase::FLUX);
-        let sw = self.engine.sweep();
-        for &id in ids {
-            let node = grid.block(id);
-            let h = grid
-                .layout()
-                .cell_size(node.key().level, grid.params().block_dims);
-            let store = if self.cfg.refluxing {
-                Some(&mut sw.flux_stores[id.index()])
-            } else {
-                None
-            };
-            compute_rhs_block_fluxes(
-                &self.cfg.physics,
-                self.cfg.scheme,
-                node.field(),
-                h,
-                &mut sw.rhs[id.index()],
-                sw.prim_scratch,
-                store,
-            );
+        let ghost_span = metrics.span(phase::GHOST_FILL);
+        self.exchange(plan, overlap).start(grid);
+        if overlap {
+            // a global sweep covers every owned block: the split's halves
+            debug_assert_eq!(ids.len(), self.aggs.split.interior.len() + self.aggs.split.halo.len());
+            let _o = metrics.span(phase::OVERLAP);
+            sweep_serial(self.cfg, self.engine, grid, &self.aggs.split.interior);
         }
+        *self.halo_values_recv += self.exchange(plan, overlap).finish(grid);
+        drop(ghost_span);
+        let rest = if overlap { &self.aggs.split.halo[..] } else { ids };
+        sweep_serial(self.cfg, self.engine, grid, rest);
     }
 
-    fn level_rates(&mut self, grid: &BlockGrid<D>, state: &SubcycleState<D>) -> Vec<f64> {
-        let mut rates = vec![0.0f64; state.levels().len()];
-        let mut scanned = 0u64;
-        for (li, rate) in rates.iter_mut().enumerate() {
-            let mut local: f64 = 0.0;
-            for &id in state.ids(li) {
-                let node = grid.block(id);
-                let h = grid
-                    .layout()
-                    .cell_size(node.key().level, grid.params().block_dims);
-                local = local.max(max_rate_block(&self.cfg.physics, node.field(), h));
-                scanned += 1;
-            }
-            // f64 max is exact and order-independent, so the reduced
-            // per-level rate — and the resulting dt₀ — is bitwise equal
-            // to the serial stepper's whole-grid scan.
-            *rate = self.comm.allreduce_max(local);
-        }
-        self.engine.note_rate_scans(scanned);
-        rates
+    fn reduce_max(&self, local: f64) -> f64 {
+        self.comm.allreduce_max(local)
     }
 
-    /// Fetch the fine-side `accum_par` faces the coming reflux of level
-    /// `levels[li]` reads from other ranks: for every coarse-fine face
-    /// whose coarse block is owned here but whose fine block is not, the
-    /// fine owner ships that block's accumulated face — one vectored
-    /// message per rank pair, faces in the shared reflux traversal
-    /// order, so the protocol is replicated-deterministic on both sides.
-    fn pre_reflux(&mut self, grid: &BlockGrid<D>, state: &mut SubcycleState<D>, li: usize) {
+    /// Fetch the fine-side faces of `stores` the coming reflux reads
+    /// from other ranks: for every coarse-fine face whose coarse block is
+    /// owned here but whose fine block is not, the fine owner ships that
+    /// block's face — one vectored message per rank pair, faces in the
+    /// shared reflux traversal order, so the protocol is
+    /// replicated-deterministic on both sides.
+    fn pre_reflux(&mut self, grid: &BlockGrid<D>, stores: RefluxStores<'_, D>, level: Option<u8>) {
         if self.comm.nranks() == 1 {
             return;
         }
+        let stores = match stores {
+            RefluxStores::Stage => self.engine.sweep().flux_stores,
+            RefluxStores::AccumPar(stores) => stores,
+        };
         let me = self.me;
-        let level = state.levels()[li];
         let mut pair_faces: BTreeMap<(usize, usize), Vec<(BlockId, Face)>> = BTreeMap::new();
         for (coarse, fine, face) in coarse_fine_fetch_list(grid, level) {
             let to = self.owner[&coarse];
@@ -1035,37 +660,117 @@ impl<const D: usize, P: Physics> SubcycleBackend<D> for DistBackend<'_, D, P> {
             if *from != me {
                 continue;
             }
-            let parts: Vec<&[f64]> = faces
-                .iter()
-                .map(|&(id, f)| state.accum_par[id.index()].face(f))
-                .collect();
-            self.cfg.metrics.incr("dist.sub.reflux_msgs", 1);
-            self.comm.send_vectored(*to, TAG_SUBACC, &parts);
+            let parts: Vec<&[f64]> =
+                faces.iter().map(|&(id, f)| stores[id.index()].face(f)).collect();
+            self.cfg.metrics.incr("dist.reflux_msgs", 1);
+            self.comm.send_vectored(*to, TAG_REFLUX, &parts);
         }
         for ((from, to), faces) in &pair_faces {
             if *to != me {
                 continue;
             }
-            let lens: Vec<usize> = faces
-                .iter()
-                .map(|&(id, f)| state.accum_par[id.index()].face(f).len())
-                .collect();
-            let parts = self.comm.recv_vectored(*from, TAG_SUBACC, &lens);
+            let lens: Vec<usize> =
+                faces.iter().map(|&(id, f)| stores[id.index()].face(f).len()).collect();
+            let parts = self.comm.recv_vectored(*from, TAG_REFLUX, &lens);
             for (&(id, f), data) in faces.iter().zip(parts) {
-                state.accum_par[id.index()].face_mut(f).copy_from_slice(&data);
+                stores[id.index()].face_mut(f).copy_from_slice(&data);
             }
         }
     }
 }
 
-/// Execute one ghost task against the grid (serial path re-used by the
-/// distributed exchange once remote data has landed).
-fn run_one_task<const D: usize>(
-    grid: &mut BlockGrid<D>,
-    task: &GhostTask<D>,
-    plan: &GhostExchange<D>,
-) {
-    plan.run_single(grid, task);
+/// One aggregated exchange of `plan` as seen from rank `me`, in two
+/// halves around the point where its receives begin. Every send
+/// precedes the matching receive on every rank (phase-1 sends are the
+/// first comm op of an exchange; phase-2 sends depend only on this
+/// rank's completed phase 1), and every rank runs the identical driver,
+/// so exchanges are issued in the same global order everywhere: no
+/// barrier, no deadlock.
+struct Exchange<'a, const D: usize> {
+    comm: &'a Comm,
+    me: usize,
+    owner: &'a HashMap<BlockId, usize>,
+    metrics: &'a Metrics,
+    plan: &'a GhostExchange<D>,
+    agg: &'a AggregatedExchange<D>,
+    tag: u64,
+    /// Under overlap, the owned blocks whose ghosts depend on remote
+    /// data; local phase-2 tasks into the others run in [`Self::start`]
+    /// (by the split's one-hop closure their sources are local with
+    /// locally completed phase-1 slabs).
+    halo: Option<&'a [BlockId]>,
+}
+
+impl<const D: usize> Exchange<'_, D> {
+    /// Eager phase-1 sends, then the purely local ghost work.
+    fn start(&self, grid: &mut BlockGrid<D>) {
+        let me = self.me;
+        let expected: u64 =
+            (0..2).map(|p| self.agg.phase(p).iter().filter(|m| m.from == me).count() as u64).sum();
+        self.metrics.incr("comm.agg.pair_msgs_expected", expected);
+        self.send(grid, 0);
+        self.run(grid, 0, |_, local| local);
+        if let Some(halo) = self.halo {
+            self.run(grid, 1, |dst, local| local && halo.binary_search(&dst).is_err());
+        }
+    }
+
+    /// Drain the exchange and finish the ghosts; returns values received.
+    fn finish(&self, grid: &mut BlockGrid<D>) -> u64 {
+        let mut recv = self.recv(grid, 0);
+        self.run(grid, 0, |_, local| !local);
+        // phase-2 sends read this rank's now-complete phase-1 slabs
+        self.send(grid, 1);
+        self.run(grid, 1, |dst, local| {
+            local && self.halo.is_none_or(|h| h.binary_search(&dst).is_ok())
+        });
+        recv += self.recv(grid, 1);
+        self.run(grid, 1, |_, local| !local);
+        recv
+    }
+
+    /// Run phase `ph`'s tasks into owned blocks that `pick(dst, local)`
+    /// selects; `local` when the source is owned too (or there is none).
+    fn run(&self, grid: &mut BlockGrid<D>, ph: usize, pick: impl Fn(BlockId, bool) -> bool) {
+        let tasks = if ph == 0 { self.plan.phase1() } else { self.plan.phase2() };
+        for task in tasks {
+            let (dst, src) = match task {
+                GhostTask::Physical { dst, .. } | GhostTask::ClampCopy { dst, .. } => (*dst, *dst),
+                _ => {
+                    let (dst, src, _) = task_source_box(task).expect("non-physical");
+                    (dst, src)
+                }
+            };
+            if self.owner[&dst] == self.me && pick(dst, self.owner[&src] == self.me) {
+                self.plan.run_single(grid, task);
+            }
+        }
+    }
+
+    fn send(&self, grid: &BlockGrid<D>, ph: usize) {
+        let _p = self.metrics.span(phase::PACK);
+        for msg in self.agg.phase(ph).iter().filter(|m| m.from == self.me) {
+            let parts = msg.pack_parts(grid);
+            let slices: Vec<&[f64]> = parts.iter().map(Vec::as_slice).collect();
+            self.metrics.incr("comm.agg.messages", 1);
+            self.metrics.incr("comm.agg.values", msg.values as u64);
+            self.metrics.incr("comm.agg.segments", msg.segments.len() as u64);
+            self.comm.send_vectored(msg.to, self.tag + ph as u64, &slices);
+        }
+    }
+
+    fn recv(&self, grid: &mut BlockGrid<D>, ph: usize) -> u64 {
+        let _u = self.metrics.span(phase::UNPACK);
+        let mut total = 0;
+        for msg in self.agg.phase(ph).iter().filter(|m| m.to == self.me) {
+            let parts = self.comm.recv_vectored(msg.from, self.tag + ph as u64, &msg.lens());
+            let n: u64 = parts.iter().map(|p| p.len() as u64).sum();
+            self.metrics.incr("dist.halo_values_recv", n);
+            total += n;
+            msg.unpack(grid, &parts);
+        }
+        total
+    }
 }
 
 #[cfg(test)]
@@ -1079,6 +784,7 @@ mod tests {
     use ablock_solver::kernel::Scheme;
     use ablock_solver::problems;
     use ablock_solver::stepper::Stepper;
+    use ablock_solver::TimeStepMode;
 
     fn build_grid() -> BlockGrid<2> {
         BlockGrid::new(
@@ -1098,7 +804,7 @@ mod tests {
         init(&mut g, &e);
         let mut st = Stepper::new(SolverConfig::new(e, Scheme::muscl_rusanov()));
         for _ in 0..steps {
-            st.step_rk2(&mut g, dt, None);
+            st.step(&mut g, dt, None);
         }
         let mut out: Vec<(BlockKey<2>, Vec<f64>)> = g
             .blocks()
@@ -1122,7 +828,7 @@ mod tests {
                 .with_partitioner(partitioner.clone());
             let mut sim = DistSim::partitioned(g, nranks, cfg);
             for _ in 0..steps {
-                sim.step_rk2(&comm, dt);
+                sim.advance(&comm, dt);
             }
             // return owned blocks
             let me = comm.rank();
@@ -1186,8 +892,8 @@ mod tests {
             init(&mut g, &e);
             let cfg = SolverConfig::new(e, Scheme::muscl_rusanov())
                 .with_partitioner(Partitioner::sfc(Curve::Morton));
-            let sim = DistSim::partitioned(g, 3, cfg);
-            sim.max_dt(&comm)
+            let mut sim = DistSim::partitioned(g, 3, cfg);
+            sim.stable_dt(&comm)
         })
         .unwrap();
         assert!((dts[0] - dts[1]).abs() < 1e-15);
@@ -1371,8 +1077,8 @@ mod tests {
             }
             sim.adapt_rebalance(&comm, &flags);
             for _ in 0..3 {
-                let dt = sim.max_dt(&comm);
-                sim.step_rk2(&comm, dt);
+                let dt = sim.stable_dt(&comm);
+                sim.advance(&comm, dt);
             }
             for id in sim.owned_ids(me) {
                 let n = sim.grid.block(id);

@@ -8,14 +8,16 @@
 //! (gather reads only sources, scatter writes only destinations), each
 //! phase running over the [`crate::pool`] helpers with no locks.
 //!
-//! `ParStepper` reproduces `ablock_solver::Stepper`'s SSP-RK2 semantics
-//! exactly (the equivalence test below checks bitwise-level agreement);
-//! only the execution order across blocks differs, and no arithmetic
-//! crosses block boundaries outside the ghost plan. Flux sweeps are
-//! issued in the [`SolverConfig`] partitioner's space-filling-curve
-//! order (cached by topology epoch), so spatially adjacent blocks land
-//! on the same worker's contiguous chunk — a bitwise-neutral permutation
-//! that improves ghost-source cache reuse.
+//! `ParStepper` is the pool [`Backend`] of the one time-stepping driver
+//! in `ablock_solver::driver`: the driver decides the integrator stages,
+//! refluxing, subcycling and the CFL reduction, so results match the
+//! serial `Stepper` bitwise (the tests below and the differential suites
+//! check it); only the execution order across blocks differs, and no
+//! arithmetic crosses block boundaries outside the ghost plan. Flux
+//! sweeps are issued in the [`SolverConfig`] partitioner's
+//! space-filling-curve order (cached by topology epoch), so spatially
+//! adjacent blocks land on the same worker's contiguous chunk — a
+//! bitwise-neutral permutation that improves ghost-source cache reuse.
 
 use std::collections::HashMap;
 
@@ -25,16 +27,18 @@ use ablock_core::arena::BlockId;
 use ablock_core::field::{FieldBlock, FieldShape};
 use ablock_core::ghost::{synthesize_boundary, GhostConfig, GhostExchange, GhostTask};
 use ablock_core::grid::{BlockGrid, BlockNode};
-use ablock_core::index::IBox;
+use ablock_core::index::{IBox, IVec};
+use ablock_core::layout::RootLayout;
 use ablock_core::ops::{prolong, restrict_avg, ProlongOrder};
 use ablock_core::partition::CurveWalk;
 use ablock_obs::{phase, Metrics};
 
-use ablock_solver::config::{SolverConfig, TimeStepMode};
-use ablock_solver::engine::{rk2_stage1_block, rk2_stage2_block, BcFn, SweepEngine};
-use ablock_solver::kernel::{compute_rhs_block, compute_rhs_block_fluxes, max_rate_block};
+use ablock_solver::config::SolverConfig;
+use ablock_solver::driver::{self, Backend, BlockStage, Plan, UpdateFn};
+use ablock_solver::engine::{BcFn, SweepEngine};
+use ablock_solver::kernel::{compute_rhs_block_fluxes, FaceFluxStore};
 use ablock_solver::physics::Physics;
-use ablock_solver::subcycle::{self, SubcycleBackend, SubcycleState};
+use ablock_solver::subcycle::SubcycleState;
 
 /// Disjoint mutable references `out[i] = &mut v[ids[i].index()]`;
 /// `ids` must be strictly increasing by index (arena order is).
@@ -254,11 +258,27 @@ fn scatter_op<const D: usize>(field: &mut FieldBlock<D>, op: &ReadyOp<D>) {
     }
 }
 
-/// Shared-memory parallel stepper: SSP-RK2 with the same arithmetic as the
-/// serial `Stepper` (both call the per-block helpers in
-/// `ablock_solver::engine`), parallelized over blocks. The engine's
-/// epoch-keyed cache makes stepping safe across grid adaptation without
-/// manual invalidation.
+/// A sweep work item: the block, its RHS scratch, and its face-flux
+/// store when refluxing.
+type SweepItem<'a, const D: usize> =
+    (BlockId, &'a mut BlockNode<D>, &'a mut FieldBlock<D>, Option<&'a mut FaceFluxStore<D>>);
+
+/// `(id, node)` pairs of the ascending subset `ids`, in arena order.
+fn nodes_for<'g, const D: usize>(
+    grid: &'g mut BlockGrid<D>,
+    ids: &[BlockId],
+) -> Vec<(BlockId, &'g mut BlockNode<D>)> {
+    let nodes: Vec<_> = grid.blocks_mut().filter(|(id, _)| ids.binary_search(id).is_ok()).collect();
+    debug_assert_eq!(nodes.len(), ids.len(), "ids must be ascending leaves");
+    nodes
+}
+
+/// Shared-memory parallel executor: the pool [`Backend`] of the
+/// time-stepping driver. Ghost fills run as parallel gather/scatter,
+/// flux sweeps and stage updates run over the pool, and the CFL scan is
+/// a parallel max — all with the per-block arithmetic of the serial
+/// `Stepper`. The engine's epoch-keyed cache makes stepping safe across
+/// grid adaptation without manual invalidation.
 pub struct ParStepper<const D: usize, P: Physics> {
     cfg: SolverConfig<P>,
     engine: SweepEngine<D>,
@@ -319,332 +339,178 @@ impl<const D: usize, P: Physics> ParStepper<D, P> {
         self.sweep_pos.get(&id).copied()
     }
 
-    /// Global CFL dt (parallel reduction over blocks, config's CFL).
-    pub fn max_dt(&self, grid: &BlockGrid<D>) -> f64 {
-        let m = grid.params().block_dims;
-        let ids = grid.block_ids();
-        let rate = pool::par_max_f64(&ids, 0.0, |&id| {
-            let node = grid.block(id);
-            let h = grid.layout().cell_size(node.key().level, m);
-            max_rate_block(&self.cfg.physics, node.field(), h)
-        });
-        if rate > 0.0 {
-            self.cfg.cfl / rate
-        } else {
-            f64::INFINITY
-        }
+    /// Largest stable step for the configured mode (see
+    /// [`driver::stable_dt`]).
+    pub fn stable_dt(&mut self, grid: &mut BlockGrid<D>) -> f64 {
+        driver::stable_dt(self, grid)
     }
 
-    /// Fill ghosts and evaluate the RHS of every block in parallel.
-    fn eval_rhs(&mut self, grid: &mut BlockGrid<D>) {
-        grid.ensure_geometry(&self.cfg.geometry);
-        self.engine.revalidate(grid);
-        self.refresh_sweep_order(grid);
-        if self.cfg.comm_overlap {
-            self.eval_rhs_overlap(grid);
-            return;
+    /// Advance by `dt` honoring [`SolverConfig::time_step_mode`] and
+    /// [`SolverConfig::time_scheme`] (see [`driver::step`]). The pool
+    /// executor has no custom-bc path; the plan's default boundary
+    /// synthesis applies.
+    pub fn step(&mut self, grid: &mut BlockGrid<D>, dt: f64) {
+        driver::step(self, grid, dt, None);
+    }
+}
+
+/// Flux sweep of `work` on the pool, issued in SFC order (`pos`):
+/// spatially adjacent blocks share ghost sources, so contiguous worker
+/// chunks reuse cache lines — a pure permutation, bitwise-neutral. With a
+/// recording sink, also reports per-worker busy/idle time.
+fn run_flux<const D: usize, P: Physics>(
+    cfg: &SolverConfig<P>,
+    pos: &HashMap<BlockId, usize>,
+    layout: &RootLayout<D>,
+    m: IVec<D>,
+    work: &mut [SweepItem<'_, D>],
+) {
+    let metrics = &cfg.metrics;
+    let _f = metrics.span(phase::FLUX);
+    work.sort_by_key(|(id, ..)| pos.get(id).copied().unwrap_or(usize::MAX));
+    let (phys, scheme) = (&cfg.physics, cfg.scheme);
+    let body = |scratch: &mut Vec<f64>, (_, node, rhs, store): &mut SweepItem<'_, D>| {
+        let h = layout.cell_size(node.key().level, m);
+        compute_rhs_block_fluxes(phys, scheme, node.field(), h, rhs, scratch, store.as_deref_mut());
+    };
+    if metrics.is_enabled() {
+        let t0 = std::time::Instant::now();
+        let busy = pool::par_for_each_mut_init_timed(work, Vec::new, body);
+        let wall = t0.elapsed().as_nanos() as u64;
+        let total_busy: u64 = busy.iter().sum();
+        for b in &busy {
+            metrics.observe("pool.worker_busy_ns", *b);
         }
-        {
-            let _span = self.cfg.metrics.span(phase::GHOST_FILL);
-            par_fill_ghosts_with(grid, self.engine.plan(), self.engine.config(), &self.cfg.metrics);
-        }
-        let metrics = self.cfg.metrics.clone();
-        let _span = metrics.span(phase::FLUX);
-        let m = grid.params().block_dims;
-        let layout = grid.layout().clone();
-        let phys = &self.cfg.physics;
-        let scheme = self.cfg.scheme;
-        let ids = grid.block_ids();
-        let pos = &self.sweep_pos;
-        let sw = self.engine.sweep();
-        let rhs_refs = indexed_refs(sw.rhs, &ids);
-        let mut work: Vec<_> = ids.iter().copied().zip(rhs_refs).collect();
-        // issue in SFC order: spatially adjacent blocks share ghost
-        // sources, so contiguous worker chunks reuse cache lines
-        work.sort_by_key(|(id, _)| pos.get(id).copied().unwrap_or(usize::MAX));
-        let body = |scratch: &mut Vec<f64>, (id, rhs_block): &mut (BlockId, &mut FieldBlock<D>)| {
-            let node = grid.block(*id);
-            let h = layout.cell_size(node.key().level, m);
-            compute_rhs_block(phys, scheme, node.field(), h, rhs_block, scratch);
-        };
-        if metrics.is_enabled() {
-            // timed path: per-worker busy histogram + busy/idle totals
-            let t0 = std::time::Instant::now();
-            let busy = pool::par_for_each_mut_init_timed(&mut work, Vec::new, body);
-            let wall = t0.elapsed().as_nanos() as u64;
-            let total_busy: u64 = busy.iter().sum();
-            for b in &busy {
-                metrics.observe("pool.worker_busy_ns", *b);
-            }
-            metrics.incr("pool.busy_ns", total_busy);
-            metrics
-                .incr("pool.idle_ns", (wall * busy.len() as u64).saturating_sub(total_busy));
-        } else {
-            pool::par_for_each_mut_init(&mut work, Vec::new, body);
-        }
+        metrics.incr("pool.busy_ns", total_busy);
+        metrics.incr("pool.idle_ns", (wall * busy.len() as u64).saturating_sub(total_busy));
+    } else {
+        pool::par_for_each_mut_init(work, Vec::new, body);
+    }
+}
+
+impl<const D: usize, P: Physics> Backend<D> for ParStepper<D, P> {
+    type Phys = P;
+
+    fn cfg(&self) -> &SolverConfig<P> {
+        &self.cfg
     }
 
-    /// Comm/compute-overlap RHS (`SolverConfig::comm_overlap`, the
-    /// default): phase 1 of the ghost fill completes as usual, then the
-    /// phase-2 (prolongation) scatter runs on a background thread while
-    /// the calling thread computes fluxes for every interior block —
-    /// those whose ghosts are final after phase 1. Halo blocks (phase-2
+    fn cfg_engine(&mut self) -> (&SolverConfig<P>, &mut SweepEngine<D>) {
+        (&self.cfg, &mut self.engine)
+    }
+
+    fn sub_state(&mut self) -> &mut SubcycleState<D> {
+        &mut self.sub
+    }
+
+    /// Each ghost phase is a parallel gather then scatter. With
+    /// `comm_overlap` (the default), a global fill gathers phase 2 and
+    /// scatters it on a background thread while the pool sweeps every
+    /// block whose ghosts are final after phase 1; halo blocks (phase-2
     /// destinations) are swept after the join. Bitwise-identical to the
-    /// non-overlapped path: the gathered ghost values and the per-block
-    /// flux arithmetic are unchanged, only execution order across blocks
-    /// differs, and the background scatter writes only halo blocks'
-    /// ghosted regions — disjoint from every interior-block read.
-    fn eval_rhs_overlap(&mut self, grid: &mut BlockGrid<D>) {
+    /// fill-then-sweep order: the background scatter writes only halo
+    /// blocks' ghosts, disjoint from every interior-block read.
+    fn fill_sweep(
+        &mut self,
+        grid: &mut BlockGrid<D>,
+        plan: Plan<'_, D>,
+        ids: &[BlockId],
+        _bc: Option<&BcFn<D>>,
+    ) {
+        let overlap = self.cfg.comm_overlap && matches!(plan, Plan::Global);
+        if let Plan::Global = plan {
+            self.engine.revalidate(grid);
+        }
+        self.refresh_sweep_order(grid);
         let metrics = self.cfg.metrics.clone();
         let ghost_span = metrics.span(phase::GHOST_FILL);
-        {
-            let plan = self.engine.plan();
-            let config = self.engine.config();
-            fill_phase(grid, plan.phase1(), config, &metrics);
-        }
-        // phase-2 gather (reads only) and the interior/halo split
-        let (by_dst, split) = {
-            let plan = self.engine.plan();
-            let order = self.engine.config().prolong_order;
-            let ready: Vec<(BlockId, ReadyOp<D>)> =
-                pool::par_map(plan.phase2(), |t| gather_task(grid, t, order))
-                    .into_iter()
-                    .flatten()
-                    .collect();
+        let plan = match plan {
+            Plan::Global => self.engine.plan(),
+            Plan::Level(_, plan) => plan,
+        };
+        let config = self.engine.config();
+        fill_phase(grid, plan.phase1(), config, &metrics);
+        // phase 2: scattered now, or gathered now and scattered during
+        // the interior sweep
+        let deferred = if overlap {
+            let order = config.prolong_order;
             let mut by_dst: HashMap<BlockId, Vec<ReadyOp<D>>> = HashMap::new();
-            for (dst, op) in ready {
+            for (dst, op) in pool::par_map(plan.phase2(), |t| gather_task(grid, t, order))
+                .into_iter()
+                .flatten()
+            {
                 by_dst.entry(dst).or_default().push(op);
             }
-            (by_dst, self.engine.split_phase2(&grid.block_ids()))
+            Some((by_dst, plan.phase2_dsts()))
+        } else {
+            fill_phase(grid, plan.phase2(), config, &metrics);
+            None
         };
         let m = grid.params().block_dims;
         let layout = grid.layout().clone();
-        let phys = &self.cfg.physics;
-        let scheme = self.cfg.scheme;
-        let ids = grid.block_ids();
         let sw = self.engine.sweep();
-        let rhs_refs = indexed_refs(sw.rhs, &ids);
-        let mut interior: Vec<(BlockId, &mut BlockNode<D>, &mut FieldBlock<D>)> = Vec::new();
-        let mut halo: Vec<(BlockId, &mut BlockNode<D>, &mut FieldBlock<D>)> = Vec::new();
-        for ((id, node), rhs) in grid.blocks_mut().zip(rhs_refs) {
-            if split.halo.binary_search(&id).is_ok() {
-                halo.push((id, node, rhs));
-            } else {
-                interior.push((id, node, rhs));
-            }
-        }
-        // issue both sweeps in SFC order (same rationale as the
-        // non-overlapped path; pure permutation, bitwise-neutral)
-        let pos = &self.sweep_pos;
-        interior.sort_by_key(|(id, ..)| pos.get(id).copied().unwrap_or(usize::MAX));
-        halo.sort_by_key(|(id, ..)| pos.get(id).copied().unwrap_or(usize::MAX));
-        let body = &|scratch: &mut Vec<f64>,
-                     (_, node, rhs): &mut (BlockId, &mut BlockNode<D>, &mut FieldBlock<D>)| {
-            let h = layout.cell_size(node.key().level, m);
-            compute_rhs_block(phys, scheme, node.field(), h, rhs, scratch);
+        let mut rhs = indexed_refs(sw.rhs, ids).into_iter();
+        let mut stores = self.cfg.refluxing.then(|| indexed_refs(sw.flux_stores, ids).into_iter());
+        let mut items: Vec<SweepItem<'_, D>> = nodes_for(grid, ids)
+            .into_iter()
+            .map(|(id, node)| {
+                let store = stores.as_mut().map(|s| s.next().expect("one store per id"));
+                (id, node, rhs.next().expect("one rhs per id"), store)
+            })
+            .collect();
+        let (cfg, pos) = (&self.cfg, &self.sweep_pos);
+        let Some((by_dst, halo_dsts)) = deferred else {
+            drop(ghost_span);
+            run_flux(cfg, pos, &layout, m, &mut items);
+            return;
         };
-        let run_flux = |work: &mut Vec<(BlockId, &mut BlockNode<D>, &mut FieldBlock<D>)>| {
-            if metrics.is_enabled() {
-                // timed path: per-worker busy histogram + busy/idle totals
-                let t0 = std::time::Instant::now();
-                let busy = pool::par_for_each_mut_init_timed(work, Vec::new, body);
-                let wall = t0.elapsed().as_nanos() as u64;
-                let total_busy: u64 = busy.iter().sum();
-                for b in &busy {
-                    metrics.observe("pool.worker_busy_ns", *b);
-                }
-                metrics.incr("pool.busy_ns", total_busy);
-                metrics
-                    .incr("pool.idle_ns", (wall * busy.len() as u64).saturating_sub(total_busy));
-            } else {
-                pool::par_for_each_mut_init(work, Vec::new, body);
-            }
-        };
-        // background: scatter prolongations into halo blocks; foreground:
-        // interior fluxes, overlapping the scatter
+        // a global sweep covers every block, so every scatter has an item
+        debug_assert!(by_dst.keys().all(|id| ids.binary_search(id).is_ok()));
+        let (halo, mut interior): (Vec<_>, Vec<_>) =
+            items.into_iter().partition(|(id, ..)| halo_dsts.binary_search(id).is_ok());
         let by_dst = &by_dst;
         let (mut halo, ()) = pool::overlap_join(
             move || {
-                for (id, node, _) in halo.iter_mut() {
-                    if let Some(ops) = by_dst.get(id) {
-                        for op in ops {
-                            scatter_op(node.field_mut(), op);
-                        }
+                let mut halo = halo;
+                for (id, node, ..) in halo.iter_mut() {
+                    for op in by_dst.get(id).into_iter().flatten() {
+                        scatter_op(node.field_mut(), op);
                     }
                 }
                 halo
             },
             || {
                 let _o = metrics.span(phase::OVERLAP);
-                let _f = metrics.span(phase::FLUX);
-                run_flux(&mut interior);
+                run_flux(cfg, pos, &layout, m, &mut interior);
             },
         );
         drop(ghost_span);
-        // join: halo fluxes once their ghosts are complete
-        let _f = metrics.span(phase::FLUX);
-        run_flux(&mut halo);
+        run_flux(cfg, pos, &layout, m, &mut halo);
     }
 
-    /// One parallel SSP-RK2 step (Heun), identical arithmetic to the serial
-    /// stepper.
-    pub fn step_rk2(&mut self, grid: &mut BlockGrid<D>, dt: f64) {
-        self.eval_rhs(grid);
-        // stage 1: save u^n, write u* = u + dt L(u)
-        {
-            let _span = self.cfg.metrics.span(phase::UPDATE);
-            let phys = &self.cfg.physics;
-            let sw = self.engine.sweep();
-            let rhs: &[FieldBlock<D>] = sw.rhs;
-            let nodes: Vec<_> = grid.blocks_mut().collect();
-            let ids: Vec<BlockId> = nodes.iter().map(|(id, _)| *id).collect();
-            let stage_refs = indexed_refs(sw.stage, &ids);
-            let mut work: Vec<_> = nodes.into_iter().zip(stage_refs).collect();
-            pool::par_for_each_mut(&mut work, |((id, node), stage)| {
-                rk2_stage1_block(phys, node.field_mut(), &rhs[id.index()], stage, dt);
-            });
-        }
-        // stage 2: u^{n+1} = 1/2 u^n + 1/2 (u* + dt L(u*))
-        self.eval_rhs(grid);
-        {
-            let _span = self.cfg.metrics.span(phase::UPDATE);
-            let phys = &self.cfg.physics;
-            let sw = self.engine.sweep();
-            let rhs: &[FieldBlock<D>] = sw.rhs;
-            let stage: &[FieldBlock<D>] = sw.stage;
-            let mut nodes: Vec<_> = grid.blocks_mut().collect();
-            pool::par_for_each_mut(&mut nodes, |(id, node)| {
-                rk2_stage2_block(phys, node.field_mut(), &rhs[id.index()], &stage[id.index()], dt);
-            });
-        }
+    fn max_blocks(&self, ids: &[BlockId], f: &(dyn Fn(BlockId) -> f64 + Sync)) -> f64 {
+        pool::par_max_f64(ids, 0.0, |&id| f(id))
     }
 
-    /// Largest stable coarsest-level `dt₀` for subcycling (parallel
-    /// per-level reductions; see [`ablock_solver::subcycle::max_dt0`]).
-    pub fn max_dt0(&mut self, grid: &BlockGrid<D>) -> f64 {
-        let mut sub = std::mem::take(&mut self.sub);
-        let dt0 = subcycle::max_dt0(self, grid, &mut sub);
-        self.sub = sub;
-        dt0
-    }
-
-    /// One subcycled hierarchy advance by `dt0`
-    /// (see [`ablock_solver::subcycle::step_subcycled`]); level sweeps
-    /// and ghost fills run on the pool, with the same per-block
-    /// arithmetic as the serial driver.
-    pub fn step_subcycled(&mut self, grid: &mut BlockGrid<D>, dt0: f64) {
-        grid.ensure_geometry(&self.cfg.geometry);
-        let mut sub = std::mem::take(&mut self.sub);
-        subcycle::step_subcycled(self, grid, &mut sub, dt0, None);
-        self.sub = sub;
-    }
-
-    /// Mode-dispatching stable step size (global CFL reduction versus
-    /// coarsest-level `dt₀`). Installs the config's immersed geometry
-    /// first so the CFL scan sees the same solid mask the step will.
-    pub fn stable_dt(&mut self, grid: &mut BlockGrid<D>) -> f64 {
-        grid.ensure_geometry(&self.cfg.geometry);
-        match self.cfg.time_step_mode {
-            TimeStepMode::Global => self.max_dt(grid),
-            TimeStepMode::Subcycled => self.max_dt0(grid),
-        }
-    }
-
-    /// Advance by `dt` honoring [`SolverConfig::time_step_mode`].
-    pub fn step(&mut self, grid: &mut BlockGrid<D>, dt: f64) {
-        match self.cfg.time_step_mode {
-            TimeStepMode::Global => self.step_rk2(grid, dt),
-            TimeStepMode::Subcycled => self.step_subcycled(grid, dt),
-        }
-    }
-}
-
-impl<const D: usize, P: Physics> SubcycleBackend<D> for ParStepper<D, P> {
-    type Phys = P;
-
-    fn cfg_engine(&mut self) -> (&SolverConfig<P>, &mut SweepEngine<D>) {
-        (&self.cfg, &mut self.engine)
-    }
-
-    fn level_ids(&self, grid: &BlockGrid<D>, level: u8) -> Vec<BlockId> {
-        grid.block_ids()
-            .into_iter()
-            .filter(|&id| grid.block(id).key().level == level)
-            .collect()
-    }
-
-    fn fill_level(
+    fn update_blocks(
         &mut self,
         grid: &mut BlockGrid<D>,
-        state: &SubcycleState<D>,
-        li: usize,
-        theta: f64,
-        _bc: Option<&BcFn<D>>,
-    ) {
-        // Like step_rk2, the pool executor has no custom-bc path; the
-        // plan's default boundary synthesis applies.
-        let metrics = self.cfg.metrics.clone();
-        let config = self.engine.config().clone();
-        let _span = metrics.span(phase::GHOST_FILL);
-        state.with_lerped_sources(grid, li, theta, |grid, plan| {
-            par_fill_ghosts_with(grid, plan, &config, &metrics);
-        });
-    }
-
-    fn sweep_level(&mut self, grid: &BlockGrid<D>, ids: &[BlockId]) {
-        let metrics = self.cfg.metrics.clone();
-        let _span = metrics.span(phase::FLUX);
-        let m = grid.params().block_dims;
-        let layout = grid.layout().clone();
+        ids: &[BlockId],
+        f: &UpdateFn<'_, D, P>,
+    ) -> usize {
         let phys = &self.cfg.physics;
-        let scheme = self.cfg.scheme;
         let sw = self.engine.sweep();
-        let rhs_refs = indexed_refs(sw.rhs, ids);
-        if self.cfg.refluxing {
-            let store_refs = indexed_refs(sw.flux_stores, ids);
-            let mut work: Vec<_> =
-                ids.iter().copied().zip(rhs_refs.into_iter().zip(store_refs)).collect();
-            pool::par_for_each_mut_init(&mut work, Vec::new, |scratch, (id, (rhs, store))| {
-                let node = grid.block(*id);
-                let h = layout.cell_size(node.key().level, m);
-                compute_rhs_block_fluxes(
-                    phys,
-                    scheme,
-                    node.field(),
-                    h,
-                    rhs,
-                    scratch,
-                    Some(store),
-                );
-            });
-        } else {
-            let mut work: Vec<_> = ids.iter().copied().zip(rhs_refs).collect();
-            pool::par_for_each_mut_init(&mut work, Vec::new, |scratch, (id, rhs)| {
-                let node = grid.block(*id);
-                let h = layout.cell_size(node.key().level, m);
-                compute_rhs_block(phys, scheme, node.field(), h, rhs, scratch);
-            });
-        }
-    }
-
-    fn level_rates(&mut self, grid: &BlockGrid<D>, state: &SubcycleState<D>) -> Vec<f64> {
-        let m = grid.params().block_dims;
-        let mut scanned = 0u64;
-        let rates: Vec<f64> = (0..state.levels().len())
-            .map(|li| {
-                let ids = state.ids(li);
-                scanned += ids.len() as u64;
-                // f64 max is exact and order-independent: same dt0 as the
-                // serial reduction, bit for bit.
-                pool::par_max_f64(ids, 0.0, |&id| {
-                    let node = grid.block(id);
-                    let h = grid.layout().cell_size(node.key().level, m);
-                    max_rate_block(&self.cfg.physics, node.field(), h)
-                })
-            })
+        let rhs: &[FieldBlock<D>] = sw.rhs;
+        let mut work: Vec<_> = nodes_for(grid, ids)
+            .into_iter()
+            .zip(indexed_refs(sw.stage, ids))
+            .map(|((id, node), stage)| (id, node, stage, 0usize))
             .collect();
-        self.engine.note_rate_scans(scanned);
-        rates
+        pool::par_for_each_mut(&mut work, |(id, node, stage, floored)| {
+            let field = node.field_mut();
+            *floored = f(phys, BlockStage { field, rhs: &rhs[id.index()], stage: &mut **stage });
+        });
+        work.iter().map(|w| w.3).sum()
     }
 }
 
@@ -686,8 +552,8 @@ mod tests {
         let mut par = ParStepper::new(SolverConfig::new(e, Scheme::muscl_rusanov()));
         let dt = 1.5e-3;
         for _ in 0..4 {
-            serial.step_rk2(&mut gs, dt, None);
-            par.step_rk2(&mut gp, dt);
+            serial.step(&mut gs, dt, None);
+            par.step(&mut gp, dt);
         }
         let a = collect(&gs);
         let b = collect(&gp);
@@ -719,8 +585,8 @@ mod tests {
         let mut par = ParStepper::new(SolverConfig::new(e, Scheme::muscl_rusanov()));
         let dt = 1e-3;
         for _ in 0..3 {
-            serial.step_rk2(&mut gs, dt, None);
-            par.step_rk2(&mut gp, dt);
+            serial.step(&mut gs, dt, None);
+            par.step(&mut gp, dt);
         }
         let a = collect(&gs);
         let b = collect(&gp);
@@ -743,11 +609,11 @@ mod tests {
 
     #[test]
     fn max_dt_matches_serial() {
-        let (g, e) = build();
-        let serial = Stepper::new(SolverConfig::new(e.clone(), Scheme::muscl_rusanov()));
-        let par = ParStepper::new(SolverConfig::new(e, Scheme::muscl_rusanov()));
-        let a = serial.max_dt(&g);
-        let b = par.max_dt(&g);
+        let (mut g, e) = build();
+        let mut serial = Stepper::new(SolverConfig::new(e.clone(), Scheme::muscl_rusanov()));
+        let mut par = ParStepper::new(SolverConfig::new(e, Scheme::muscl_rusanov()));
+        let a = serial.stable_dt(&mut g);
+        let b = par.stable_dt(&mut g);
         assert!((a - b).abs() < 1e-16);
     }
 
@@ -755,7 +621,7 @@ mod tests {
     fn sweep_order_follows_partitioner_curve() {
         let (mut g, e) = build();
         let mut par = ParStepper::new(SolverConfig::new(e, Scheme::muscl_rusanov()));
-        par.step_rk2(&mut g, 1e-3);
+        par.step(&mut g, 1e-3);
         let walk = CurveWalk::build(&g, par.config().partitioner.curve());
         for (pos, entry) in walk.entries().iter().enumerate() {
             assert_eq!(par.sweep_position(entry.id), Some(pos), "SFC order mismatch");
@@ -763,7 +629,7 @@ mod tests {
         // cached: a refine bumps the epoch and forces a rebuild
         let id = g.block_ids()[0];
         g.refine(id, Transfer::Conservative(ProlongOrder::LinearMinmod)).unwrap();
-        par.step_rk2(&mut g, 1e-3);
+        par.step(&mut g, 1e-3);
         let walk = CurveWalk::build(&g, par.config().partitioner.curve());
         assert_eq!(walk.len(), g.num_blocks());
         for (pos, entry) in walk.entries().iter().enumerate() {

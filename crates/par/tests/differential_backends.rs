@@ -23,7 +23,7 @@ use ablock_par::{
     run_resilient_with, DistSim, FaultPlan, Machine, MachineConfig, ParStepper, Policy,
     RecoverConfig,
 };
-use ablock_solver::{problems, Euler, Scheme, SolverConfig, Stepper};
+use ablock_solver::{problems, Euler, Scheme, SolverConfig, Stepper, TimeScheme};
 use ablock_testkit::{cases, flag_for_key, gen_schedule, Schedule};
 
 const DT: f64 = 1e-3;
@@ -124,7 +124,7 @@ fn run_serial(schedule: &Schedule) -> (BlockGrid<2>, Vec<u64>) {
     for (ri, round) in schedule.rounds.iter().enumerate() {
         deltas.push(adapt_serial(&mut grid, round.flag_seed, round.density));
         for _ in 0..round.steps {
-            stepper.step_rk2(&mut grid, DT, None);
+            stepper.step(&mut grid, DT, None);
         }
         if schedule.checkpoint_after_round == Some(ri) {
             grid = checkpoint_cut(&grid);
@@ -143,7 +143,7 @@ fn run_shared(schedule: &Schedule) -> (BlockGrid<2>, Vec<u64>) {
     for (ri, round) in schedule.rounds.iter().enumerate() {
         deltas.push(adapt_serial(&mut grid, round.flag_seed, round.density));
         for _ in 0..round.steps {
-            stepper.step_rk2(&mut grid, DT);
+            stepper.step(&mut grid, DT);
         }
         if schedule.checkpoint_after_round == Some(ri) {
             grid = checkpoint_cut(&grid);
@@ -167,7 +167,7 @@ fn run_dist(schedule: &Schedule, nranks: usize) -> (BlockGrid<2>, Vec<u64>) {
             sim.adapt_rebalance(&comm, &flags);
             deltas.push(sim.grid.epoch() - before);
             for _ in 0..round.steps {
-                sim.step_rk2(&comm, DT);
+                sim.advance(&comm, DT);
             }
             if schedule.checkpoint_after_round == Some(ri) {
                 // collective: every rank snapshots the gathered state and
@@ -301,4 +301,77 @@ fn differential_with_injected_faults() {
         let resilient = run_resilient_backend(&schedule, 2, Some(faults));
         assert_bitwise_eq(&serial, &resilient, "Stepper vs faulted run_resilient");
     });
+}
+
+// ---- global-mode integrator and refluxing options -------------------
+//
+// Every backend runs the one driver, so `refluxing`, `time_scheme` and
+// a first-order scheme (forward Euler by default) must give the same
+// bits on every backend, with overlap on and off.
+
+/// 4×4 periodic roots of 4×4 cells with two refined root blocks: under
+/// round-robin ownership coarse-fine faces (and their reflux fetches)
+/// cross rank boundaries.
+fn two_level_grid() -> BlockGrid<2> {
+    let mut g = BlockGrid::new(
+        RootLayout::unit([4, 4], Boundary::Periodic),
+        GridParams::new([4, 4], 2, 4, 1),
+    );
+    problems::advected_gaussian(&mut g, &Euler::new(1.4), [1.0, 0.5], [0.5, 0.5], 0.15);
+    for coords in [[1, 1], [2, 2]] {
+        let id = g.find(BlockKey::new(0, coords)).unwrap();
+        g.refine(id, TRANSFER).unwrap();
+    }
+    g
+}
+
+/// Three `stable_dt` steps of `base` on the serial, pool and 2-rank
+/// distributed backends (overlap on and off), asserted bitwise equal.
+fn global_backends_agree(base: SolverConfig<Euler<2>>, what: &str) {
+    const STEPS: usize = 3;
+    let base = base.with_partitioner(Policy::RoundRobin.partitioner());
+    let mut serial = two_level_grid();
+    let mut st = Stepper::new(base.clone());
+    for _ in 0..STEPS {
+        let dt = st.stable_dt(&mut serial);
+        st.step(&mut serial, dt, None);
+    }
+    for overlap in [true, false] {
+        let cfg = base.clone().with_comm_overlap(overlap);
+        let mut shared = two_level_grid();
+        let mut ps = ParStepper::new(cfg.clone());
+        for _ in 0..STEPS {
+            let dt = ps.stable_dt(&mut shared);
+            ps.step(&mut shared, dt);
+        }
+        assert_bitwise_eq(&serial, &shared, &format!("{what}: Stepper vs ParStepper overlap={overlap}"));
+        let results = Machine::run(2, |comm| {
+            let mut sim = DistSim::partitioned(two_level_grid(), comm.nranks(), cfg.clone());
+            for _ in 0..STEPS {
+                let dt = sim.stable_dt(&comm);
+                sim.advance(&comm, dt);
+            }
+            sim.gather_full(&comm);
+            (comm.rank() == 0).then_some(sim.grid)
+        })
+        .expect("fault-free machine run");
+        let dist = results.into_iter().flatten().next().expect("rank 0 returns state");
+        assert_bitwise_eq(&serial, &dist, &format!("{what}: Stepper vs DistSim overlap={overlap}"));
+    }
+}
+
+#[test]
+fn global_refluxed_rk2_matches_across_backends() {
+    global_backends_agree(cfg().with_refluxing(true), "global RK2 refluxed");
+}
+
+#[test]
+fn global_forward_euler_matches_across_backends() {
+    global_backends_agree(cfg().with_time_scheme(TimeScheme::ForwardEuler), "global forward Euler");
+}
+
+#[test]
+fn first_order_scheme_matches_across_backends() {
+    let base = SolverConfig::new(Euler::new(1.4), Scheme::first_order());
+    global_backends_agree(base, "first-order scheme");
 }

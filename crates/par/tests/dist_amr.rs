@@ -64,7 +64,7 @@ fn serial_run() -> (Vec<(BlockKey<2>, Vec<f64>)>, usize) {
     let mut st = Stepper::new(SolverConfig::new(e, Scheme::muscl_rusanov()));
     for _ in 0..ROUNDS {
         for _ in 0..STEPS_PER_ROUND {
-            st.step_rk2(&mut g, DT, None);
+            st.step(&mut g, DT, None);
         }
         st.fill_ghosts(&mut g, None);
         let flags = energy_flags(&g);
@@ -90,10 +90,10 @@ fn distributed_amr_blast_matches_serial() {
                 DistSim::partitioned(g, nranks, SolverConfig::new(e, Scheme::muscl_rusanov()));
             for _ in 0..ROUNDS {
                 for _ in 0..STEPS_PER_ROUND {
-                    sim.step_rk2(&comm, DT);
+                    sim.advance(&comm, DT);
                 }
                 // flags from owned blocks only (ghosts refreshed first)
-                sim.halo_exchange(&comm);
+                sim.fill_ghosts(&comm);
                 let me = comm.rank();
                 let all_flags = energy_flags(&sim.grid);
                 let my_flags: HashMap<_, _> = all_flags
@@ -155,10 +155,10 @@ fn distributed_amr_conserves_mass() {
         );
         for _ in 0..2 {
             for _ in 0..2 {
-                let dt = sim.max_dt(&comm);
-                sim.step_rk2(&comm, dt);
+                let dt = sim.stable_dt(&comm);
+                sim.advance(&comm, dt);
             }
-            sim.halo_exchange(&comm);
+            sim.fill_ghosts(&comm);
             let me = comm.rank();
             let flags: HashMap<_, _> = energy_flags(&sim.grid)
                 .into_iter()

@@ -34,7 +34,7 @@ fn distributed_masked_grid_matches_serial() {
     assert_eq!(gs.num_blocks(), 14, "two roots are masked out");
     let mut st = Stepper::new(SolverConfig::new(e, Scheme::muscl_rusanov()));
     for _ in 0..steps {
-        st.step_rk2(&mut gs, dt, None);
+        st.step(&mut gs, dt, None);
     }
     let serial: HashMap<BlockKey<2>, Vec<f64>> = gs
         .blocks()
@@ -45,7 +45,7 @@ fn distributed_masked_grid_matches_serial() {
         let (g, e) = build();
         let mut sim = DistSim::partitioned(g, 3, SolverConfig::new(e, Scheme::muscl_rusanov()));
         for _ in 0..steps {
-            sim.step_rk2(&comm, dt);
+            sim.advance(&comm, dt);
         }
         sim.owned_ids(comm.rank())
             .into_iter()
@@ -97,8 +97,8 @@ fn masked_grid_walls_reflect_momentum_distributed() {
                 .with_partitioner(Partitioner::sfc(Curve::Morton)),
         );
         for _ in 0..40 {
-            let dt = sim.max_dt(&comm);
-            sim.step_rk2(&comm, dt);
+            let dt = sim.stable_dt(&comm);
+            sim.advance(&comm, dt);
         }
         let me = comm.rank();
         let mut mass = 0.0;

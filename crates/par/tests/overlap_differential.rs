@@ -9,6 +9,7 @@
 use std::collections::HashMap;
 
 use ablock_core::balance::{adapt, Flag};
+use ablock_core::ghost::task_source_box;
 use ablock_core::grid::{BlockGrid, GridParams, Transfer};
 use ablock_core::key::BlockKey;
 use ablock_core::layout::{Boundary, RootLayout};
@@ -127,7 +128,7 @@ fn run_serial(schedule: &Schedule, geom: &Option<Geometry>) -> (BlockGrid<2>, Ve
     for round in &schedule.rounds {
         deltas.push(adapt_serial(&mut grid, round.flag_seed, round.density));
         for _ in 0..round.steps {
-            stepper.step_rk2(&mut grid, DT, None);
+            stepper.step(&mut grid, DT, None);
         }
     }
     check_grid(&grid).unwrap();
@@ -146,7 +147,7 @@ fn run_shared(
     for round in &schedule.rounds {
         deltas.push(adapt_serial(&mut grid, round.flag_seed, round.density));
         for _ in 0..round.steps {
-            stepper.step_rk2(&mut grid, DT);
+            stepper.step(&mut grid, DT);
         }
     }
     (grid, deltas)
@@ -168,7 +169,7 @@ fn run_dist(
             sim.adapt_rebalance(&comm, &flags);
             deltas.push(sim.grid.epoch() - before);
             for _ in 0..round.steps {
-                sim.step_rk2(&comm, DT);
+                sim.advance(&comm, DT);
             }
         }
         sim.gather_full(&comm);
@@ -247,8 +248,8 @@ fn shared_overlap_on_off_matches_serial() {
     });
 }
 
-/// Distributed overlap: the aggregated+overlapped exchange and the legacy
-/// per-task exchange both match the serial stepper bitwise; structural
+/// Distributed overlap: the aggregated exchange with and without the
+/// overlapped interior sweep matches the serial stepper bitwise; structural
 /// epoch deltas match serial, with at most one extra bump per round when
 /// the incremental rebalance actually migrates blocks.
 #[test]
@@ -321,10 +322,11 @@ fn resilient_crash_under_overlap_matches_serial() {
 }
 
 /// The aggregation invariant, asserted against live comm counters: with
-/// overlap on, every exchange moves exactly one message per active rank
-/// pair per phase (`comm.agg.messages` == plan-derived pair count ==
-/// `comm.agg.pair_msgs_expected`), and the aggregated path moves at
-/// least 25% fewer halo messages than the legacy per-task exchange.
+/// overlap on or off, every exchange moves exactly one message per active
+/// rank pair per phase (`comm.agg.messages` == plan-derived pair count ==
+/// `comm.agg.pair_msgs_expected`), and at least 25% fewer halo messages
+/// than a per-task exchange would send (one message per non-physical
+/// plan task whose source and destination ranks differ).
 #[test]
 fn aggregated_messages_equal_active_pairs() {
     const NRANKS: usize = 3;
@@ -342,27 +344,39 @@ fn aggregated_messages_equal_active_pairs() {
             let flags = flags_for(&sim.grid, 0xA11CE, 60, Some(&owned));
             sim.adapt_rebalance(&comm, &flags);
             for _ in 0..STEPS {
-                sim.step_rk2(&comm, DT);
+                sim.advance(&comm, DT);
             }
-            // independently derive the active-pair count from the plan
+            // independently derive the active-pair and per-task message
+            // counts from the plan
             let mut owner: HashMap<ablock_core::arena::BlockId, usize> = HashMap::new();
             for r in 0..comm.nranks() {
                 for id in sim.owned_ids(r) {
                     owner.insert(id, r);
                 }
             }
-            let pairs = sim.engine().plan().aggregate(&sim.grid, &|id| owner[&id]).num_messages();
-            (metrics.snapshot(), pairs)
+            let plan = sim.engine().plan();
+            let pairs = plan.aggregate(&sim.grid, &|id| owner[&id]).num_messages();
+            let per_task = plan
+                .phase1()
+                .iter()
+                .chain(plan.phase2())
+                .filter_map(task_source_box)
+                .filter(|(dst, src, _)| owner[dst] != owner[src])
+                .count();
+            (metrics.snapshot(), pairs, per_task)
         })
         .expect("fault-free machine run")
     };
 
     let on = run(true);
-    let pairs = on[0].1;
+    let (pairs, per_task) = (on[0].1, on[0].2);
     assert!(pairs > 0, "test topology must have cross-rank traffic");
-    assert!(on.iter().all(|(_, p)| *p == pairs), "replicated plans disagree on pair count");
-    let sum = |snaps: &[(ablock_obs::MetricsSnapshot, usize)], key: &str| -> u64 {
-        snaps.iter().map(|(s, _)| s.counter(key)).sum()
+    assert!(
+        on.iter().all(|(_, p, t)| (*p, *t) == (pairs, per_task)),
+        "replicated plans disagree on message counts"
+    );
+    let sum = |snaps: &[(ablock_obs::MetricsSnapshot, usize, usize)], key: &str| -> u64 {
+        snaps.iter().map(|(s, ..)| s.counter(key)).sum()
     };
     // RK2 = two ghost exchanges per step
     let exchanges = (2 * STEPS) as u64;
@@ -377,20 +391,23 @@ fn aggregated_messages_equal_active_pairs() {
         sum(&on, "comm.agg.pair_msgs_expected"),
         "sent messages must match the plan-derived expectation"
     );
-    assert_eq!(sum(&on, "comm.halo.messages"), 0, "overlap run must not use the legacy path");
 
     let off = run(false);
-    let halo_msgs = sum(&off, "comm.halo.messages");
-    assert_eq!(sum(&off, "comm.agg.messages"), 0, "legacy run must not use the aggregated path");
+    assert_eq!(
+        sum(&off, "comm.agg.messages"),
+        agg_msgs,
+        "overlap on and off must run the same aggregated exchange"
+    );
+    let halo_msgs = exchanges * per_task as u64;
     assert!(
         4 * agg_msgs <= 3 * halo_msgs,
         "aggregation must cut halo messages by >= 25%: {agg_msgs} vs {halo_msgs}"
     );
-    // both paths deliver the same payload volume to ghost cells
+    // both settings deliver the same payload volume to ghost cells
     assert_eq!(
         sum(&on, "dist.halo_values_recv"),
         sum(&off, "dist.halo_values_recv"),
-        "aggregated and legacy paths must move identical halo volumes"
+        "overlap on and off must move identical halo volumes"
     );
 }
 

@@ -106,7 +106,7 @@ fn run_serial(schedule: &Schedule, geom: &Option<Geometry>) -> BlockGrid<2> {
         let flags = flags_for(&grid, round.flag_seed, round.density, None);
         adapt(&mut grid, &flags, TRANSFER);
         for _ in 0..round.steps {
-            stepper.step_rk2(&mut grid, DT, None);
+            stepper.step(&mut grid, DT, None);
         }
     }
     check_grid(&grid).unwrap();
@@ -162,7 +162,7 @@ fn run_dist(
                 }
             }
             for _ in 0..round.steps {
-                sim.step_rk2(&comm, DT);
+                sim.advance(&comm, DT);
             }
         }
         sim.gather_full(&comm);

@@ -66,7 +66,7 @@ pub struct SolverConfig<P: Physics> {
     /// [`TimeStepMode::Global`]; the global path is preserved untouched
     /// as the reference oracle for the subcycled one.
     pub time_step_mode: TimeStepMode,
-    /// CFL number used by `max_dt`/`run_until` on every executor.
+    /// CFL number used by `stable_dt`/`run_until` on every executor.
     pub cfl: f64,
     /// Berger–Colella flux correction at coarse/fine faces.
     pub refluxing: bool,
@@ -159,8 +159,8 @@ impl<P: Physics> SolverConfig<P> {
 
     /// Enable or disable comm/compute overlap in the parallel executors
     /// (see the [`SolverConfig::comm_overlap`] field). On by default;
-    /// turning it off selects the legacy non-overlapped exchange for A/B
-    /// benchmarking — the numerics are bitwise-identical either way.
+    /// turning it off completes each exchange before the sweep starts, for
+    /// A/B benchmarking — the numerics are bitwise-identical either way.
     pub fn with_comm_overlap(mut self, on: bool) -> Self {
         self.comm_overlap = on;
         self

@@ -21,8 +21,9 @@
 //!
 //! The per-block stage-update helpers ([`fe_update_block`],
 //! [`rk2_stage1_block`], [`rk2_stage2_block`]) are the single source of the
-//! update arithmetic; serial, pool, and distributed executors all call them,
-//! which is what keeps their results bitwise identical.
+//! update arithmetic; the time-stepping driver ([`crate::driver`]) is their
+//! only caller, on every backend, which is what keeps serial, pool, and
+//! distributed results bitwise identical.
 
 use ablock_core::arena::BlockId;
 use ablock_core::field::{FieldBlock, FieldShape};
@@ -94,11 +95,6 @@ pub struct SweepSplit {
     pub interior: Vec<BlockId>,
     /// Blocks whose sweep must wait for the exchange to complete.
     pub halo: Vec<BlockId>,
-}
-
-fn split_ids(ids: &[BlockId], is_halo: impl Fn(BlockId) -> bool) -> SweepSplit {
-    let (halo, interior) = ids.iter().partition(|&&id| is_halo(id));
-    SweepSplit { interior, halo }
 }
 
 /// Epoch-keyed ghost-plan cache plus reusable sweep scratch.
@@ -245,31 +241,19 @@ impl<const D: usize> SweepEngine<D> {
         }
     }
 
-    /// Split `ids` for shared-memory comm/compute overlap: a block is
-    /// `halo` iff it receives a phase-2 (prolongation) ghost task — its
-    /// ghost fill completes only with the phase-2 scatter, so its flux
-    /// must wait for the join; every other block's ghosts are final after
-    /// phase 1 and its flux may overlap the scatter. `ids` must be in
-    /// arena order (as from [`BlockGrid::block_ids`]); the partition
-    /// preserves it. Panics before [`SweepEngine::revalidate`].
-    pub fn split_phase2(&self, ids: &[BlockId]) -> SweepSplit {
-        let halo = self.plan().phase2_dsts();
-        split_ids(ids, |id| halo.binary_search(&id).is_ok())
-    }
-
     /// Split `ids` for distributed comm/compute overlap: a block is
     /// `halo` iff its ghost fill depends on remote data, directly or one
     /// hop through a phase-2 source's restriction-filled slab (see
-    /// [`GhostExchange::remote_halo_dsts`]). Order-preserving like
-    /// [`SweepEngine::split_phase2`]. Panics before
-    /// [`SweepEngine::revalidate`].
+    /// [`GhostExchange::remote_halo_dsts`]). Both halves preserve the
+    /// order of `ids`. Panics before [`SweepEngine::revalidate`].
     pub fn split_remote(
         &self,
         ids: &[BlockId],
         is_remote: &dyn Fn(BlockId) -> bool,
     ) -> SweepSplit {
         let halo = self.plan().remote_halo_dsts(is_remote);
-        split_ids(ids, |id| halo.binary_search(&id).is_ok())
+        let (halo, interior) = ids.iter().partition(|id| halo.binary_search(id).is_ok());
+        SweepSplit { interior, halo }
     }
 
     /// Split-borrow the scratch arena. Call after

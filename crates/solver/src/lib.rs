@@ -14,10 +14,12 @@
 //!   executor consumes (physics, scheme, CFL, ghost config, metrics sink).
 //! * [`engine`] — the shared sweep engine: epoch-keyed ghost-plan cache and
 //!   reusable scratch consumed by every executor (serial, pool, distributed).
-//! * [`stepper`] — forward-Euler and SSP-RK2 integration over a grid,
-//!   including ghost exchange and global CFL reduction.
-//! * [`subcycle`] — Berger–Oliger local time stepping: per-level `dt`,
-//!   time-interpolated ghost fills, and flux-accumulated refluxing.
+//! * [`driver`] — the one time-stepping driver: forward-Euler and
+//!   SSP-RK2 stages, refluxing, subcycling and the CFL reduction, generic
+//!   over an executor [`Backend`] (serial, pool, distributed).
+//! * [`stepper`] — the serial backend, [`Stepper`].
+//! * [`subcycle`] — Berger–Oliger local time stepping scratch: per-level
+//!   plans, time-interpolated ghost fills, and flux accumulators.
 //! * [`problems`] — Sod, Brio–Wu, Orszag–Tang, Sedov, MHD blast, and the
 //!   Parker-like solar-wind source used by the CME example.
 //! * [`poisson`] — geometric multigrid for `∇²u = f` on block hierarchies
@@ -26,6 +28,7 @@
 #![warn(missing_docs)]
 
 pub mod config;
+pub mod driver;
 pub mod engine;
 pub mod euler;
 pub mod flux;
@@ -52,4 +55,5 @@ pub use physics::Physics;
 pub use poisson::{MultigridPoisson, PoissonBc};
 pub use recon::{Limiter, Recon};
 pub use stepper::{total_conserved, total_conserved_fluid, Stepper, TimeScheme};
-pub use subcycle::{SubcycleBackend, SubcycleState};
+pub use driver::Backend;
+pub use subcycle::SubcycleState;

@@ -132,17 +132,23 @@ fn fine_face_avg<const D: usize>(
 ///
 /// `stores` holds each block's recorded face fluxes (from
 /// [`crate::kernel::compute_rhs_block_fluxes`]) and `rhs` each block's
-/// RHS field, both indexed by `BlockId::index()`. Returns the number of
-/// corrected coarse interface cells.
+/// RHS field, both indexed by `BlockId::index()`. `apply_to` filters the
+/// corrected coarse blocks (ownership in the distributed executor;
+/// `|_| true` elsewhere). Returns the number of corrected coarse
+/// interface cells.
 pub fn reflux_rhs<const D: usize>(
     grid: &BlockGrid<D>,
     stores: &[FaceFluxStore<D>],
     rhs: &mut [FieldBlock<D>],
+    apply_to: &dyn Fn(BlockId) -> bool,
 ) -> usize {
     let nvar = grid.params().nvar;
     let mut corrected = 0usize;
     let mut favg = vec![0.0; nvar];
     for_each_coarse_fine_face(grid, |cf| {
+        if !apply_to(cf.coarse) {
+            return;
+        }
         let coarse_store = &stores[cf.coarse.index()];
         let fine_store = &stores[cf.fine.index()];
         let rhs_block = &mut rhs[cf.coarse.index()];
@@ -218,18 +224,18 @@ pub fn reflux_state<const D: usize>(
     corrected
 }
 
-/// The (coarse, fine, coarse-side face) triples [`reflux_state`] visits
-/// for coarse blocks on `level`, in the shared traversal order.
-/// Distributed executors use this to plan fetches of remote fine-side
-/// accumulator faces before refluxing: the coarse owner needs the fine
-/// block's time-integrated fluxes on `face.opposite()`.
+/// The (coarse, fine, coarse-side face) triples [`reflux_rhs`] and
+/// [`reflux_state`] visit for coarse blocks on `level` (`None`: every
+/// level), in the shared traversal order. Distributed executors use this
+/// to plan fetches of remote fine-side flux faces before refluxing: the
+/// coarse owner needs the fine block's fluxes on `face.opposite()`.
 pub fn coarse_fine_fetch_list<const D: usize>(
     grid: &BlockGrid<D>,
-    level: u8,
+    level: Option<u8>,
 ) -> Vec<(BlockId, BlockId, Face)> {
     let mut out = Vec::new();
     for_each_coarse_fine_face(grid, |cf| {
-        if grid.block(cf.coarse).key().level == level {
+        if level.is_none_or(|l| grid.block(cf.coarse).key().level == l) {
             out.push((cf.coarse, cf.fine, cf.face));
         }
     });
@@ -299,7 +305,7 @@ mod tests {
                 Some(&mut stores[id.index()]),
             );
         }
-        let n = reflux_rhs(grid, &stores, &mut rhs);
+        let n = reflux_rhs(grid, &stores, &mut rhs, &|_| true);
         assert!(n > 0, "test grids must have coarse/fine faces");
         // budget: sum over blocks of rhs * cell volume
         let mut budget = vec![0.0; e.nvar()];

@@ -1,13 +1,15 @@
-//! Time integration over an entire adaptive block grid.
+//! The serial executor: one [`Backend`] of the time-stepping driver.
 //!
-//! A [`Stepper`] is the *serial executor* over the shared
-//! [`SweepEngine`], which owns the cached
-//! ghost-exchange plan and the RHS/stage scratch; the grid itself stays a
-//! plain data structure. Construction takes a
-//! [`SolverConfig`] — the same bundle the
-//! shared-memory and distributed executors in `ablock-par` and the AMR
-//! driver consume — so physics, scheme, time integrator, CFL, refluxing,
-//! and the metrics sink are chosen once:
+//! A [`Stepper`] visits every block in arena order on the calling thread
+//! over the shared [`SweepEngine`], which owns the cached ghost-exchange
+//! plan and the RHS/stage scratch; the grid itself stays a plain data
+//! structure. What a step does — integrator stages, refluxing,
+//! subcycling, the CFL reduction — is decided by [`crate::driver`], the
+//! same code the shared-memory and distributed executors in `ablock-par`
+//! run, so the serial stepper is the bitwise reference they are
+//! differentially tested against. Construction takes a
+//! [`SolverConfig`], so physics, scheme, time integrator, CFL,
+//! refluxing, and the metrics sink are chosen once:
 //!
 //! ```
 //! use ablock_solver::{Euler, Scheme, SolverConfig, Stepper};
@@ -34,15 +36,14 @@
 //! bitwise identical (asserted by `tests/metrics_obs.rs`).
 
 use ablock_core::arena::BlockId;
-use ablock_core::ghost::{GhostConfig, GhostExchange};
 use ablock_core::grid::BlockGrid;
 use ablock_obs::{phase, Metrics};
 
-use crate::config::{SolverConfig, TimeStepMode};
-use crate::engine::{fe_update_block, rk2_stage1_block, rk2_stage2_block, SweepEngine};
-use crate::kernel::{compute_rhs_block_fluxes, max_rate_block, Scheme};
+use crate::config::SolverConfig;
+use crate::driver::{self, sweep_serial, Backend, Plan};
+use crate::engine::SweepEngine;
+use crate::kernel::Scheme;
 use crate::physics::Physics;
-use crate::reflux::reflux_rhs;
 use crate::subcycle::SubcycleState;
 
 pub use crate::engine::BcFn;
@@ -80,37 +81,14 @@ impl<const D: usize, P: Physics> Stepper<D, P> {
         Stepper { cfg, engine, sub: SubcycleState::new(), floored_cells: 0, flux_evals: 0 }
     }
 
-    /// Split-borrow the config and engine for the subcycled driver
-    /// (`crate::subcycle`), which needs both at once.
-    pub(crate) fn cfg_engine_mut(&mut self) -> (&SolverConfig<P>, &mut SweepEngine<D>) {
-        (&self.cfg, &mut self.engine)
-    }
-
-    /// The subcycling scratch, taken out with `mem::take` for the
-    /// duration of driver calls (the driver borrows the stepper as the
-    /// backend, so the state cannot stay behind `self`).
-    pub(crate) fn sub_state(&mut self) -> &mut SubcycleState<D> {
-        &mut self.sub
-    }
-
     /// The configuration this stepper was built from.
     pub fn config(&self) -> &SolverConfig<P> {
         &self.cfg
     }
 
-    /// The physics being integrated.
-    pub fn physics(&self) -> &P {
-        &self.cfg.physics
-    }
-
     /// The spatial scheme.
     pub fn scheme(&self) -> Scheme {
         self.cfg.scheme
-    }
-
-    /// The ghost config in effect (from the [`SolverConfig`]).
-    pub fn ghost_config(&self) -> GhostConfig {
-        self.cfg.ghost.clone()
     }
 
     /// The metrics sink in effect (null unless the config installed one).
@@ -130,127 +108,23 @@ impl<const D: usize, P: Physics> Stepper<D, P> {
         &mut self.engine
     }
 
-    /// Access the cached exchange plan (revalidating it first).
-    pub fn exchange<'a>(&'a mut self, grid: &BlockGrid<D>) -> &'a GhostExchange<D> {
-        self.engine.revalidate(grid);
-        self.engine.plan()
-    }
-
     /// Fill ghosts with the cached plan.
     pub fn fill_ghosts(&mut self, grid: &mut BlockGrid<D>, bc: Option<&BcFn<D>>) {
         self.engine.fill_ghosts(grid, bc);
     }
 
-    /// Largest stable `dt` (global CFL reduction over all blocks, using
-    /// the config's CFL number).
-    pub fn max_dt(&self, grid: &BlockGrid<D>) -> f64 {
-        let mut rate: f64 = 0.0;
-        for (_, node) in grid.blocks() {
-            let h = grid.layout().cell_size(node.key().level, grid.params().block_dims);
-            rate = rate.max(max_rate_block(&self.cfg.physics, node.field(), h));
-        }
-        if rate > 0.0 {
-            self.cfg.cfl / rate
-        } else {
-            f64::INFINITY
-        }
-    }
-
-    /// Evaluate `L(u)` into the engine's rhs scratch for every block.
-    /// Ghosts are filled first. Returns ids processed.
-    fn eval_rhs(&mut self, grid: &mut BlockGrid<D>, bc: Option<&BcFn<D>>) -> Vec<BlockId> {
-        grid.ensure_geometry(&self.cfg.geometry);
-        self.engine.fill_ghosts(grid, bc);
-        let ids = grid.block_ids();
-        {
-            let _span = self.cfg.metrics.span(phase::FLUX);
-            let sw = self.engine.sweep();
-            for &id in &ids {
-                let node = grid.block(id);
-                let h = grid.layout().cell_size(node.key().level, grid.params().block_dims);
-                let store = if self.cfg.refluxing {
-                    Some(&mut sw.flux_stores[id.index()])
-                } else {
-                    None
-                };
-                self.flux_evals += compute_rhs_block_fluxes(
-                    &self.cfg.physics,
-                    self.cfg.scheme,
-                    node.field(),
-                    h,
-                    &mut sw.rhs[id.index()],
-                    sw.prim_scratch,
-                    store,
-                );
-            }
-        }
-        if self.cfg.refluxing {
-            let _span = self.cfg.metrics.span(phase::REFLUX);
-            let sw = self.engine.sweep();
-            reflux_rhs(grid, sw.flux_stores, sw.rhs);
-        }
-        ids
+    /// Largest stable step for the configured mode (see
+    /// [`driver::stable_dt`]).
+    pub fn stable_dt(&mut self, grid: &mut BlockGrid<D>) -> f64 {
+        driver::stable_dt(self, grid)
     }
 
     /// Advance the grid by `dt` with the configured integrator. Under
-    /// [`TimeStepMode::Subcycled`], `dt` is the coarsest-level `dt₀` and
-    /// finer levels take halved substeps (see [`crate::subcycle`]).
+    /// [`TimeStepMode::Subcycled`](crate::config::TimeStepMode::Subcycled),
+    /// `dt` is the coarsest-level `dt₀` and finer levels take halved
+    /// substeps (see [`crate::subcycle`]).
     pub fn step(&mut self, grid: &mut BlockGrid<D>, dt: f64, bc: Option<&BcFn<D>>) {
-        grid.ensure_geometry(&self.cfg.geometry);
-        if self.cfg.time_step_mode == TimeStepMode::Subcycled {
-            return self.step_subcycled(grid, dt, bc);
-        }
-        match self.cfg.time_scheme {
-            TimeScheme::ForwardEuler => self.step_fe(grid, dt, bc),
-            TimeScheme::SspRk2 => self.step_rk2(grid, dt, bc),
-        }
-    }
-
-    /// One forward-Euler step.
-    pub fn step_fe(&mut self, grid: &mut BlockGrid<D>, dt: f64, bc: Option<&BcFn<D>>) {
-        let ids = self.eval_rhs(grid, bc);
-        let _span = self.cfg.metrics.span(phase::UPDATE);
-        let sw = self.engine.sweep();
-        for id in ids {
-            let node = grid.block_mut(id);
-            self.floored_cells +=
-                fe_update_block(&self.cfg.physics, node.field_mut(), &sw.rhs[id.index()], dt);
-        }
-    }
-
-    /// One Heun (SSP-RK2) step: `u* = u + dt L(u)`,
-    /// `u^{n+1} = ½u + ½(u* + dt L(u*))`.
-    pub fn step_rk2(&mut self, grid: &mut BlockGrid<D>, dt: f64, bc: Option<&BcFn<D>>) {
-        // stage 1: save u^n, then overwrite grid with u*
-        let ids = self.eval_rhs(grid, bc);
-        {
-            let _span = self.cfg.metrics.span(phase::UPDATE);
-            let sw = self.engine.sweep();
-            for &id in &ids {
-                let node = grid.block_mut(id);
-                self.floored_cells += rk2_stage1_block(
-                    &self.cfg.physics,
-                    node.field_mut(),
-                    &sw.rhs[id.index()],
-                    &mut sw.stage[id.index()],
-                    dt,
-                );
-            }
-        }
-        // stage 2 (ghosts refilled for u*)
-        let ids = self.eval_rhs(grid, bc);
-        let _span = self.cfg.metrics.span(phase::UPDATE);
-        let sw = self.engine.sweep();
-        for id in ids {
-            let node = grid.block_mut(id);
-            self.floored_cells += rk2_stage2_block(
-                &self.cfg.physics,
-                node.field_mut(),
-                &sw.rhs[id.index()],
-                &sw.stage[id.index()],
-                dt,
-            );
-        }
+        self.floored_cells += driver::step(self, grid, dt, bc);
     }
 
     /// Advance to `t_end` with CFL-limited steps; returns steps taken.
@@ -261,20 +135,45 @@ impl<const D: usize, P: Physics> Stepper<D, P> {
         t_end: f64,
         bc: Option<&BcFn<D>>,
     ) -> usize {
-        // Install the config's geometry before the first CFL scan so solid
-        // cells never constrain dt.
-        grid.ensure_geometry(&self.cfg.geometry);
-        let mut t = t0;
-        let mut steps = 0;
-        while t < t_end - 1e-14 {
-            let dt = self.stable_dt(grid).min(t_end - t);
-            assert!(dt.is_finite() && dt > 0.0, "non-positive dt at t = {t}");
-            self.step(grid, dt, bc);
-            t += dt;
-            steps += 1;
-            assert!(steps < 1_000_000, "step explosion before t_end");
-        }
+        let (steps, floored) = driver::run_until(self, grid, t0, t_end, bc);
+        self.floored_cells += floored;
         steps
+    }
+}
+
+impl<const D: usize, P: Physics> Backend<D> for Stepper<D, P> {
+    type Phys = P;
+
+    fn cfg(&self) -> &SolverConfig<P> {
+        &self.cfg
+    }
+
+    fn cfg_engine(&mut self) -> (&SolverConfig<P>, &mut SweepEngine<D>) {
+        (&self.cfg, &mut self.engine)
+    }
+
+    fn sub_state(&mut self) -> &mut SubcycleState<D> {
+        &mut self.sub
+    }
+
+    fn fill_sweep(
+        &mut self,
+        grid: &mut BlockGrid<D>,
+        plan: Plan<'_, D>,
+        ids: &[BlockId],
+        bc: Option<&BcFn<D>>,
+    ) {
+        match plan {
+            Plan::Global => self.engine.fill_ghosts(grid, bc),
+            Plan::Level(_, plan) => {
+                let _span = self.cfg.metrics.span(phase::GHOST_FILL);
+                match bc {
+                    Some(f) => plan.fill_with(grid, f),
+                    None => plan.fill(grid),
+                }
+            }
+        }
+        self.flux_evals += sweep_serial(&self.cfg, &mut self.engine, grid, ids);
     }
 }
 
@@ -327,6 +226,7 @@ pub fn total_conserved_fluid<const D: usize>(grid: &BlockGrid<D>, v: usize) -> f
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::TimeStepMode;
     use crate::euler::Euler;
     use ablock_core::grid::{GridParams, Transfer};
     use ablock_core::key::BlockKey;
@@ -368,7 +268,7 @@ mod tests {
             Stepper::new(SolverConfig::new(e, Scheme::muscl_rusanov()).with_cfl(0.5));
         let before = total_conserved(&g, 0);
         for _ in 0..10 {
-            let dt = st.max_dt(&g);
+            let dt = st.stable_dt(&mut g);
             st.step(&mut g, dt, None);
         }
         for (_, n) in g.blocks() {

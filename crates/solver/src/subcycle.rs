@@ -1,13 +1,14 @@
 //! Berger–Oliger local time stepping (subcycling) over the level hierarchy.
 //!
-//! Under [`TimeStepMode::Global`] every block advances with the globally
-//! CFL-limited `dt`, so the finest level's cell size throttles the whole
-//! grid. Subcycling instead advances level ℓ with `dt₀ / 2^(ℓ-ℓ₀)`: one
-//! coarse step spawns two half-length steps on the next finer level,
-//! recursively, so each level runs at *its own* CFL limit and coarse
-//! blocks stop paying for fine resolution they don't have. On a grid
-//! where refinement covers a small fraction of the domain this is the
-//! paper's dominant savings after adaptivity itself.
+//! Under [`TimeStepMode::Global`](crate::config::TimeStepMode::Global)
+//! every block advances with the globally CFL-limited `dt`, so the
+//! finest level's cell size throttles the whole grid. Subcycling instead
+//! advances level ℓ with `dt₀ / 2^(ℓ-ℓ₀)`: one coarse step spawns two
+//! half-length steps on the next finer level, recursively, so each level
+//! runs at *its own* CFL limit and coarse blocks stop paying for fine
+//! resolution they don't have. On a grid where refinement covers a small
+//! fraction of the domain this is the paper's dominant savings after
+//! adaptivity itself.
 //!
 //! Three couplings make the recursion correct:
 //!
@@ -30,31 +31,25 @@
 //!    face fluxes: each level accumulates `Σ_s w_s Δt_ℓ F_s` into its own
 //!    per-substep accumulator (`accum_own`) and into a parent-cycle
 //!    accumulator (`accum_par`); when a coarse substep's fine children
-//!    finish, [`reflux_state`] replaces the coarse face flux by the area-
-//!    and time-averaged fine flux directly on the conserved state. The
-//!    two accumulators exist because their reset schedules conflict:
-//!    `accum_own` resets every own substep, `accum_par` once per parent
-//!    cycle.
+//!    finish, [`reflux_state`](crate::reflux::reflux_state) replaces the
+//!    coarse face flux by the area- and time-averaged fine flux directly
+//!    on the conserved state. The two accumulators exist because their
+//!    reset schedules conflict: `accum_own` resets every own substep,
+//!    `accum_par` once per parent cycle.
 //!
-//! The driver is executor-agnostic: [`step_subcycled`] and [`max_dt0`]
-//! are free functions over a [`SubcycleBackend`], implemented here for
-//! the serial [`Stepper`] and in `ablock-par` for the shared-memory and
-//! distributed executors. The global-`dt` path is untouched and remains
-//! the reference oracle: on a single-level grid the subcycled driver
-//! reduces to it bitwise (asserted below), and on refined grids the
-//! differential suite checks conserved totals to roundoff.
+//! This module holds the epoch-keyed scratch those couplings need; the
+//! recursion itself is part of the one time-stepping driver in
+//! [`crate::driver`], so serial, pool and distributed backends all run
+//! it. On a single-level grid it reduces to the global path bitwise
+//! (asserted below), and on refined grids the differential suites check
+//! every backend against the serial one bitwise.
 
 use ablock_core::arena::BlockId;
 use ablock_core::ghost::{extract_box, insert_box, GhostExchange, GhostTask};
 use ablock_core::grid::BlockGrid;
-use ablock_obs::phase;
 
-use crate::config::{SolverConfig, TimeStepMode};
-use crate::engine::{fe_update_block, rk2_stage1_block, rk2_stage2_block, BcFn, SweepEngine};
-use crate::kernel::{compute_rhs_block_fluxes, max_rate_block, FaceFluxStore};
-use crate::physics::Physics;
-use crate::reflux::reflux_state;
-use crate::stepper::{Stepper, TimeScheme};
+use crate::driver::Backend;
+use crate::kernel::FaceFluxStore;
 
 /// Span names for per-level substep timing (`Metrics::span` wants
 /// `&'static str`); levels ≥ 15 share the last slot.
@@ -85,7 +80,8 @@ pub fn level_span(level: u8) -> &'static str {
 /// Epoch-keyed scratch for the subcycled driver: the level table, one
 /// filtered exchange plan per level, prolongation-source snapshots for
 /// time interpolation, and the two flux accumulators feeding
-/// [`reflux_state`]. Owned by each executor next to its [`SweepEngine`];
+/// [`reflux_state`](crate::reflux::reflux_state). Owned by each executor
+/// next to its [`SweepEngine`](crate::engine::SweepEngine);
 /// [`SubcycleState::revalidate`] rebuilds everything when the grid's
 /// topology epoch moves, exactly like the engine's plan cache.
 #[derive(Default)]
@@ -149,6 +145,15 @@ impl<const D: usize> SubcycleState<D> {
         self.units[li]
     }
 
+    /// Zero level index `li`'s `accum_own` (`own`) or `accum_par`
+    /// accumulators.
+    pub fn zero_accum(&mut self, li: usize, own: bool) {
+        let acc = if own { &mut self.accum_own } else { &mut self.accum_par };
+        for id in &self.level_ids[li] {
+            acc[id.index()].zero();
+        }
+    }
+
     /// Level index of refinement level `level`, if present.
     pub fn level_index(&self, level: u8) -> Option<usize> {
         self.levels.binary_search(&level).ok()
@@ -158,7 +163,7 @@ impl<const D: usize> SubcycleState<D> {
     /// lists, and (iff refluxing) the flux accumulators for the grid's
     /// current topology. Cheap no-op when the epoch is unchanged. Also
     /// revalidates the backend's engine so `plan()` is current.
-    pub fn revalidate<B: SubcycleBackend<D>>(&mut self, backend: &mut B, grid: &BlockGrid<D>) {
+    pub fn revalidate<B: Backend<D>>(&mut self, backend: &mut B, grid: &BlockGrid<D>) {
         if self.is_current(grid) {
             // The engine still counts a reuse per outer step so the
             // amortization stats match the global path.
@@ -197,10 +202,14 @@ impl<const D: usize> SubcycleState<D> {
                 srcs
             })
             .collect();
+        let owned = backend.owned_ids(grid);
         self.level_ids = self
             .levels
             .iter()
-            .map(|&l| backend.level_ids(grid, l))
+            .map(|&l| {
+                let on_level = |id: &&BlockId| grid.block(**id).key().level == l;
+                owned.iter().filter(on_level).copied().collect()
+            })
             .collect();
         self.snapshots = vec![Vec::new(); self.levels.len()];
         let lmax = *self.levels.last().expect("grid has no blocks");
@@ -281,369 +290,14 @@ impl<const D: usize> SubcycleState<D> {
     }
 }
 
-/// What the subcycled driver needs from an executor. Implemented by the
-/// serial [`Stepper`] below and by the shared-memory and distributed
-/// executors in `ablock-par`; the driver recursion itself is shared, so
-/// every backend advances blocks in the same order with the same update
-/// arithmetic — the basis of the bitwise differential tests.
-pub trait SubcycleBackend<const D: usize> {
-    /// The physics system being integrated.
-    type Phys: Physics;
-
-    /// Split-borrow the config and the engine (plan cache + scratch).
-    fn cfg_engine(&mut self) -> (&SolverConfig<Self::Phys>, &mut SweepEngine<D>);
-
-    /// Blocks this executor advances at `level`, in arena order
-    /// (distributed backends return only owned blocks).
-    fn level_ids(&self, grid: &BlockGrid<D>, level: u8) -> Vec<BlockId>;
-
-    /// Whether this executor owns `id` (controls which blocks are
-    /// time-interpolated and which coarse blocks it refluxes). Serial
-    /// and shared-memory executors own everything.
-    fn is_owned(&self, _id: BlockId) -> bool {
-        true
-    }
-
-    /// Fill level `li`'s ghosts at interior time `θ` of the parent's
-    /// current substep (see [`SubcycleState::with_lerped_sources`]).
-    fn fill_level(
-        &mut self,
-        grid: &mut BlockGrid<D>,
-        state: &SubcycleState<D>,
-        li: usize,
-        theta: f64,
-        bc: Option<&BcFn<D>>,
-    );
-
-    /// Compute `L(u)` (and face fluxes iff refluxing) into the engine's
-    /// scratch for `ids`.
-    fn sweep_level(&mut self, grid: &BlockGrid<D>, ids: &[BlockId]);
-
-    /// Max wavespeed/`h` rate per level index, scanning every owned
-    /// block exactly once (report the scan count via
-    /// [`SweepEngine::note_rate_scans`]). Distributed backends reduce
-    /// across ranks so every rank sees the same `dt₀`.
-    fn level_rates(&mut self, grid: &BlockGrid<D>, state: &SubcycleState<D>) -> Vec<f64>;
-
-    /// Hook before level `li` refluxes: distributed backends fetch the
-    /// fine-side `accum_par` faces owned by other ranks. No-op serially.
-    fn pre_reflux(&mut self, _grid: &BlockGrid<D>, _state: &mut SubcycleState<D>, _li: usize) {}
-}
-
-fn interior_cells<const D: usize>(grid: &BlockGrid<D>) -> u64 {
-    let dims = grid.params().block_dims;
-    (0..D).map(|a| dims[a] as u64).product()
-}
-
-/// Largest stable `dt₀` for the *coarsest* level: each level ℓ must
-/// satisfy its own CFL limit at `dt₀ / 2^(ℓ-ℓ₀)`, so
-/// `dt₀ = min_ℓ 2^(ℓ-ℓ₀) · cfl / rate_ℓ`. One scan of every block per
-/// call (the per-level reduction the subcycled path replaces the global
-/// `max_dt` scan with).
-pub fn max_dt0<const D: usize, B: SubcycleBackend<D>>(
-    backend: &mut B,
-    grid: &BlockGrid<D>,
-    state: &mut SubcycleState<D>,
-) -> f64 {
-    state.revalidate(backend, grid);
-    let rates = backend.level_rates(grid, state);
-    let cfl = backend.cfg_engine().0.cfl;
-    let mut dt0 = f64::INFINITY;
-    for (li, &rate) in rates.iter().enumerate() {
-        if rate > 0.0 {
-            // units[0]/units[li] = 2^(lvl_li - lvl_0), an exact power of
-            // two, so dt_li = dt0 / scale reproduces cfl/rate exactly.
-            let scale = (state.units[0] / state.units[li]) as f64;
-            dt0 = dt0.min(scale * cfl / rate);
-        }
-    }
-    dt0
-}
-
-/// Advance the whole hierarchy by one coarsest-level step `dt₀`,
-/// subcycling finer levels. Returns cells clamped by positivity floors.
-pub fn step_subcycled<const D: usize, B: SubcycleBackend<D>>(
-    backend: &mut B,
-    grid: &mut BlockGrid<D>,
-    state: &mut SubcycleState<D>,
-    dt0: f64,
-    bc: Option<&BcFn<D>>,
-) -> usize {
-    state.revalidate(backend, grid);
-    let metrics = backend.cfg_engine().0.metrics.clone();
-    metrics.incr("subcycle.steps", 1);
-    // What a global-dt step at the finest level's dt would cost over the
-    // same interval — the denominator of the subcycling efficiency.
-    let nblocks = grid.block_ids().len() as u64;
-    metrics.incr(
-        "subcycle.cell_updates_uniform",
-        nblocks * interior_cells(grid) * state.units[0],
-    );
-    advance_level(backend, grid, state, 0, 0, 0, 0, dt0, bc)
-}
-
-/// One substep of level index `li` covering `[u0, u0 + units[li])` in
-/// finest-granularity units, recursing into the finer levels; `parent_u0`
-/// and `parent_units` locate this substep inside the parent's cycle for
-/// the ghost-fill time interpolation.
-#[allow(clippy::too_many_arguments)]
-fn advance_level<const D: usize, B: SubcycleBackend<D>>(
-    backend: &mut B,
-    grid: &mut BlockGrid<D>,
-    state: &mut SubcycleState<D>,
-    li: usize,
-    u0: u64,
-    parent_u0: u64,
-    parent_units: u64,
-    dt0: f64,
-    bc: Option<&BcFn<D>>,
-) -> usize {
-    let nlv = state.levels.len();
-    let units = state.units[li];
-    // Exact: units/units[0] is a negative power of two.
-    let dt = dt0 * (units as f64 / state.units[0] as f64);
-    let theta_at = |u: u64| -> f64 {
-        if parent_units == 0 {
-            0.0
-        } else {
-            (u - parent_u0) as f64 / parent_units as f64
-        }
-    };
-    let (refluxing, time_scheme) = {
-        let cfg = backend.cfg_engine().0;
-        (cfg.refluxing, cfg.time_scheme)
-    };
-    let weights: &[f64] = match time_scheme {
-        TimeScheme::ForwardEuler => &[1.0],
-        TimeScheme::SspRk2 => &[0.5, 0.5],
-    };
-    let metrics = backend.cfg_engine().0.metrics.clone();
-    let span_name = level_span(state.levels[li]);
-    let mut floored = 0usize;
-    {
-        let _span = metrics.span(span_name);
-        let ids: Vec<BlockId> = state.level_ids[li].clone();
-        if refluxing {
-            for &id in &ids {
-                state.accum_own[id.index()].zero();
-            }
-        }
-        // Old-time snapshot of the finer level's prolongation sources,
-        // taken before this level moves off the old time.
-        if li + 1 < nlv {
-            state.snapshot_level(grid, li + 1);
-        }
-        for (s, &w) in weights.iter().enumerate() {
-            // Heun stage 1 evaluates at the substep's start, stage 2 at
-            // its end (u* lives at u0 + units).
-            let u_fill = if s == 0 { u0 } else { u0 + units };
-            backend.fill_level(grid, state, li, theta_at(u_fill), bc);
-            backend.sweep_level(grid, &ids);
-            let (cfg, engine) = backend.cfg_engine();
-            let sw = engine.sweep();
-            if refluxing {
-                for &id in &ids {
-                    let store = &sw.flux_stores[id.index()];
-                    state.accum_own[id.index()].add_scaled(store, w * dt);
-                    state.accum_par[id.index()].add_scaled(store, w * dt);
-                }
-            }
-            match cfg.time_scheme {
-                TimeScheme::ForwardEuler => {
-                    for &id in &ids {
-                        let node = grid.block_mut(id);
-                        floored += fe_update_block(
-                            &cfg.physics,
-                            node.field_mut(),
-                            &sw.rhs[id.index()],
-                            dt,
-                        );
-                    }
-                }
-                TimeScheme::SspRk2 if s == 0 => {
-                    for &id in &ids {
-                        let node = grid.block_mut(id);
-                        floored += rk2_stage1_block(
-                            &cfg.physics,
-                            node.field_mut(),
-                            &sw.rhs[id.index()],
-                            &mut sw.stage[id.index()],
-                            dt,
-                        );
-                    }
-                }
-                TimeScheme::SspRk2 => {
-                    for &id in &ids {
-                        let node = grid.block_mut(id);
-                        floored += rk2_stage2_block(
-                            &cfg.physics,
-                            node.field_mut(),
-                            &sw.rhs[id.index()],
-                            &sw.stage[id.index()],
-                            dt,
-                        );
-                    }
-                }
-            }
-        }
-        metrics.incr("subcycle.substeps", 1);
-        metrics.incr("subcycle.cell_updates", ids.len() as u64 * interior_cells(grid));
-    }
-    if li + 1 < nlv {
-        if refluxing {
-            for &id in &state.level_ids[li + 1] {
-                state.accum_par[id.index()].zero();
-            }
-        }
-        let child_units = state.units[li + 1];
-        for k in 0..units / child_units {
-            floored += advance_level(
-                backend,
-                grid,
-                state,
-                li + 1,
-                u0 + k * child_units,
-                u0,
-                units,
-                dt0,
-                bc,
-            );
-        }
-        if refluxing {
-            backend.pre_reflux(grid, state, li);
-            let _span = metrics.span(phase::REFLUX);
-            let owned = |id: BlockId| backend.is_owned(id);
-            let n = reflux_state(
-                grid,
-                &state.accum_own,
-                &state.accum_par,
-                state.levels[li],
-                &owned,
-            );
-            metrics.incr("subcycle.refluxed_cells", n as u64);
-        }
-    }
-    floored
-}
-
-impl<const D: usize, P: Physics> SubcycleBackend<D> for Stepper<D, P> {
-    type Phys = P;
-
-    fn cfg_engine(&mut self) -> (&SolverConfig<P>, &mut SweepEngine<D>) {
-        self.cfg_engine_mut()
-    }
-
-    fn level_ids(&self, grid: &BlockGrid<D>, level: u8) -> Vec<BlockId> {
-        grid.block_ids()
-            .into_iter()
-            .filter(|&id| grid.block(id).key().level == level)
-            .collect()
-    }
-
-    fn fill_level(
-        &mut self,
-        grid: &mut BlockGrid<D>,
-        state: &SubcycleState<D>,
-        li: usize,
-        theta: f64,
-        bc: Option<&BcFn<D>>,
-    ) {
-        let metrics = self.metrics().clone();
-        let _span = metrics.span(phase::GHOST_FILL);
-        state.with_lerped_sources(grid, li, theta, |grid, plan| match bc {
-            Some(f) => plan.fill_with(grid, f),
-            None => plan.fill(grid),
-        });
-    }
-
-    fn sweep_level(&mut self, grid: &BlockGrid<D>, ids: &[BlockId]) {
-        let mut evals = 0usize;
-        {
-            let (cfg, engine) = self.cfg_engine_mut();
-            let _span = cfg.metrics.span(phase::FLUX);
-            let sw = engine.sweep();
-            for &id in ids {
-                let node = grid.block(id);
-                let h = grid
-                    .layout()
-                    .cell_size(node.key().level, grid.params().block_dims);
-                let store = if cfg.refluxing {
-                    Some(&mut sw.flux_stores[id.index()])
-                } else {
-                    None
-                };
-                evals += compute_rhs_block_fluxes(
-                    &cfg.physics,
-                    cfg.scheme,
-                    node.field(),
-                    h,
-                    &mut sw.rhs[id.index()],
-                    sw.prim_scratch,
-                    store,
-                );
-            }
-        }
-        self.flux_evals += evals;
-    }
-
-    fn level_rates(&mut self, grid: &BlockGrid<D>, state: &SubcycleState<D>) -> Vec<f64> {
-        let mut rates = vec![0.0f64; state.levels().len()];
-        let mut scanned = 0u64;
-        for (li, rate) in rates.iter_mut().enumerate() {
-            for &id in state.ids(li) {
-                let node = grid.block(id);
-                let h = grid
-                    .layout()
-                    .cell_size(node.key().level, grid.params().block_dims);
-                *rate = rate.max(max_rate_block(self.physics(), node.field(), h));
-                scanned += 1;
-            }
-        }
-        self.engine_mut().note_rate_scans(scanned);
-        rates
-    }
-}
-
-/// Hierarchy-advancing entry points on the serial stepper; the
-/// shared-memory and distributed analogues live in `ablock-par`.
-impl<const D: usize, P: Physics> Stepper<D, P> {
-    /// Largest stable coarsest-level `dt₀` for subcycling (one scan of
-    /// every block; see [`max_dt0`]).
-    pub fn max_dt0(&mut self, grid: &BlockGrid<D>) -> f64 {
-        let mut sub = std::mem::take(self.sub_state());
-        let dt0 = max_dt0(self, grid, &mut sub);
-        *self.sub_state() = sub;
-        dt0
-    }
-
-    /// One subcycled hierarchy advance by `dt0` (see [`step_subcycled`]).
-    pub fn step_subcycled(&mut self, grid: &mut BlockGrid<D>, dt0: f64, bc: Option<&BcFn<D>>) {
-        let mut sub = std::mem::take(self.sub_state());
-        let floored = step_subcycled(self, grid, &mut sub, dt0, bc);
-        self.floored_cells += floored;
-        *self.sub_state() = sub;
-    }
-
-    /// Mode-dispatching stable step size: the global CFL reduction under
-    /// [`TimeStepMode::Global`], the coarsest-level `dt₀` under
-    /// [`TimeStepMode::Subcycled`]. Installs the config's immersed
-    /// geometry first so the CFL scan sees the same solid mask the step
-    /// will (solid cells never constrain `dt`).
-    pub fn stable_dt(&mut self, grid: &mut BlockGrid<D>) -> f64 {
-        grid.ensure_geometry(&self.config().geometry);
-        match self.config().time_step_mode {
-            TimeStepMode::Global => self.max_dt(grid),
-            TimeStepMode::Subcycled => self.max_dt0(grid),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::euler::Euler;
+    use crate::config::{SolverConfig, TimeStepMode};
     use crate::kernel::Scheme;
-    use crate::stepper::total_conserved;
+    use crate::physics::Physics;
+    use crate::stepper::{total_conserved, Stepper};
     use ablock_core::grid::{GridParams, Transfer};
     use ablock_core::key::BlockKey;
     use ablock_core::layout::{Boundary, RootLayout};

@@ -45,23 +45,23 @@ fn adapt_then_step_without_invalidate_matches_fresh_stepper() {
     let (mut ga, e) = build();
     let mut sta = Stepper::new(SolverConfig::new(e.clone(), Scheme::muscl_rusanov()));
     for _ in 0..2 {
-        sta.step_rk2(&mut ga, dt, None);
+        sta.step(&mut ga, dt, None);
     }
     refine_center(&mut ga);
     for _ in 0..2 {
-        sta.step_rk2(&mut ga, dt, None);
+        sta.step(&mut ga, dt, None);
     }
 
     // run B: identical, but a brand-new stepper takes over after the adapt
     let (mut gb, e2) = build();
     let mut stb = Stepper::new(SolverConfig::new(e2.clone(), Scheme::muscl_rusanov()));
     for _ in 0..2 {
-        stb.step_rk2(&mut gb, dt, None);
+        stb.step(&mut gb, dt, None);
     }
     refine_center(&mut gb);
     let mut stb2 = Stepper::new(SolverConfig::new(e2, Scheme::muscl_rusanov()));
     for _ in 0..2 {
-        stb2.step_rk2(&mut gb, dt, None);
+        stb2.step(&mut gb, dt, None);
     }
 
     // bitwise identical interiors, block by block
@@ -93,7 +93,7 @@ fn plans_are_reused_across_steps_and_rebuilt_once_per_adapt() {
     let (mut g, e) = build();
     let mut st = Stepper::new(SolverConfig::new(e, Scheme::muscl_rusanov()));
     for _ in 0..5 {
-        st.step_rk2(&mut g, 1e-3, None);
+        st.step(&mut g, 1e-3, None);
     }
     // each RK2 step revalidates twice (one ghost fill per stage): 10 sweeps,
     // one plan build
@@ -103,7 +103,7 @@ fn plans_are_reused_across_steps_and_rebuilt_once_per_adapt() {
 
     refine_center(&mut g);
     for _ in 0..5 {
-        st.step_rk2(&mut g, 1e-3, None);
+        st.step(&mut g, 1e-3, None);
     }
     let s = st.engine().stats();
     assert_eq!(s.rebuilds, 2, "exactly one rebuild per topology change");

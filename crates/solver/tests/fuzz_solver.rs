@@ -78,7 +78,7 @@ fn run_cached<const D: usize>(schedule: &Schedule) -> (Vec<(BlockKey<D>, Vec<u64
     for round in &schedule.rounds {
         apply_adapt(&mut grid, round.flag_seed, round.density);
         for _ in 0..round.steps {
-            stepper.step_rk2(&mut grid, DT, None);
+            stepper.step(&mut grid, DT, None);
         }
     }
     check_grid(&grid).unwrap();
@@ -94,7 +94,7 @@ fn run_fresh<const D: usize>(schedule: &Schedule) -> Vec<(BlockKey<D>, Vec<u64>)
         apply_adapt(&mut grid, round.flag_seed, round.density);
         for _ in 0..round.steps {
             let mut stepper: Stepper<D, Euler<D>> = Stepper::new(cfg());
-            stepper.step_rk2(&mut grid, DT, None);
+            stepper.step(&mut grid, DT, None);
         }
     }
     signature(&grid)

@@ -29,8 +29,8 @@ fn run(metrics: Metrics) -> (Vec<f64>, Metrics) {
         .with_metrics(metrics.clone());
     let mut st = Stepper::new(cfg);
     for _ in 0..4 {
-        let dt = st.max_dt(&g);
-        st.step_rk2(&mut g, dt, None);
+        let dt = st.stable_dt(&mut g);
+        st.step(&mut g, dt, None);
     }
     let mut fields = Vec::new();
     for (_, n) in g.blocks() {

@@ -183,7 +183,7 @@ fn refluxing_cost_is_modest() {
         let cfg = SolverConfig::new(e, Scheme::muscl_rusanov()).with_refluxing(reflux);
         let mut st = Stepper::new(cfg);
         for _ in 0..3 {
-            st.step_rk2(&mut g, 1e-3, None);
+            st.step(&mut g, 1e-3, None);
         }
         st.flux_evals
     };

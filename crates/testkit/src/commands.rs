@@ -844,7 +844,7 @@ impl<const D: usize> Harness<D> {
                 }
                 let solid_before = self.solid_bits();
                 let stepper = self.stepper.as_mut().expect("just set");
-                stepper.step_rk2(&mut self.grid, STEP_DT, None);
+                stepper.step(&mut self.grid, STEP_DT, None);
                 if self.solid_bits() != solid_before {
                     return Err("step touched a frozen solid cell".to_string());
                 }
@@ -885,7 +885,7 @@ impl<const D: usize> Harness<D> {
                         .with_refluxing(true),
                 );
                 for _ in 0..nsub {
-                    flat.step_rk2(&mut twin, fine_dt, None);
+                    flat.step(&mut twin, fine_dt, None);
                 }
                 let before = self.totals();
                 let cons_vars = self.step_conserved_vars();
@@ -951,7 +951,7 @@ impl<const D: usize> Harness<D> {
                 save_grid(&mut buf, &self.grid).map_err(|e| format!("save_grid: {e}"))?;
                 let mut twin: BlockGrid<D> =
                     load_grid(&mut buf.as_slice()).map_err(|e| format!("load_grid: {e}"))?;
-                fresh_stepper().step_rk2(&mut twin, STEP_DT, None);
+                fresh_stepper().step(&mut twin, STEP_DT, None);
                 let solid_before = self.solid_bits();
                 let par = if overlap { &mut self.par_on } else { &mut self.par_off };
                 let par = par.get_or_insert_with(|| {
@@ -960,7 +960,7 @@ impl<const D: usize> Harness<D> {
                             .with_comm_overlap(overlap),
                     )
                 });
-                par.step_rk2(&mut self.grid, STEP_DT);
+                par.step(&mut self.grid, STEP_DT);
                 if self.solid_bits() != solid_before {
                     return Err("parallel step touched a frozen solid cell".to_string());
                 }

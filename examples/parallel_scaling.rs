@@ -39,8 +39,8 @@ fn main() {
                 SolverConfig::new(mhd.clone(), Scheme::muscl_rusanov()).with_cfl(0.3),
             );
             for _ in 0..5 {
-                let dt = sim.max_dt(&comm);
-                sim.step_rk2(&comm, dt);
+                let dt = sim.stable_dt(&comm);
+                sim.advance(&comm, dt);
             }
             // checksum of owned interiors
             let mut local = 0.0;

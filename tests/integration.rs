@@ -67,7 +67,7 @@ fn uniform_vs_refined_blocks_converge_to_same_solution() {
 
 #[test]
 fn shared_memory_executor_matches_serial_through_amr_cycle() {
-    // step serially, adapt, step with the rayon executor: identical grids.
+    // step serially, adapt, step with the pool executor: identical grids.
     let (mut ga, e) = pulse_grid([2, 2], 8, 2);
     let (mut gb, _) = pulse_grid([2, 2], 8, 2);
     let dt = 1e-3;
@@ -76,8 +76,8 @@ fn shared_memory_executor_matches_serial_through_amr_cycle() {
     let mut serial = Stepper::new(cfg.clone());
     let mut par = ParStepper::new(cfg);
     for _ in 0..2 {
-        serial.step_rk2(&mut ga, dt, None);
-        par.step_rk2(&mut gb, dt);
+        serial.step(&mut ga, dt, None);
+        par.step(&mut gb, dt);
     }
     // adapt both identically (by key, not id)
     for g in [&mut ga, &mut gb] {
@@ -90,8 +90,8 @@ fn shared_memory_executor_matches_serial_through_amr_cycle() {
     }
     // no invalidate: both engines revalidate off the bumped topology epoch
     for _ in 0..2 {
-        serial.step_rk2(&mut ga, dt, None);
-        par.step_rk2(&mut gb, dt);
+        serial.step(&mut ga, dt, None);
+        par.step(&mut gb, dt);
     }
     // compare every interior cell by key
     let by_key: HashMap<BlockKey<2>, BlockId> =
@@ -125,7 +125,7 @@ fn distributed_machine_matches_serial_with_adaptive_grid() {
     let (mut gs, e) = build();
     let mut st = Stepper::new(SolverConfig::new(e.clone(), Scheme::muscl_rusanov()));
     for _ in 0..steps {
-        st.step_rk2(&mut gs, dt, None);
+        st.step(&mut gs, dt, None);
     }
     let serial: HashMap<BlockKey<2>, Vec<f64>> = gs
         .blocks()
@@ -136,7 +136,7 @@ fn distributed_machine_matches_serial_with_adaptive_grid() {
         let (g, e) = build();
         let mut sim = DistSim::partitioned(g, 3, SolverConfig::new(e, Scheme::muscl_rusanov()));
         for _ in 0..steps {
-            sim.step_rk2(&comm, dt);
+            sim.advance(&comm, dt);
         }
         sim.owned_ids(comm.rank())
             .into_iter()
@@ -306,7 +306,7 @@ fn wind_source_mhd_pipeline_smoke() {
     let mut st = Stepper::new(SolverConfig::new(mhd.clone(), Scheme::muscl_rusanov()).with_cfl(0.3));
     let mut t = 0.0;
     for _ in 0..30 {
-        let dt = st.max_dt(&g);
+        let dt = st.stable_dt(&mut g);
         st.step(&mut g, dt, None);
         t += dt;
         wind.apply(&mut g, &mhd, t);
@@ -320,4 +320,68 @@ fn wind_source_mhd_pipeline_smoke() {
         assert!(node.field().cell(c).iter().all(|x| x.is_finite()));
     }
     assert!(max_rho > 0.06, "wind should raise density outside the ball: {max_rho}");
+}
+
+#[test]
+fn one_driver_steps_every_backend_bitwise() {
+    // Serial, pool and 2-rank distributed backends all run the one
+    // time-stepping driver: one refluxed step of a two-level grid, in
+    // global and subcycled mode, leaves bitwise-equal interiors.
+    let build = || {
+        let (mut g, e) = pulse_grid([4, 4], 4, 1);
+        for coords in [[1, 1], [2, 2]] {
+            let id = g.find(BlockKey::new(0, coords)).unwrap();
+            g.refine(id, Transfer::Conservative(ProlongOrder::LinearMinmod)).unwrap();
+        }
+        (g, e)
+    };
+    let interiors = |g: &BlockGrid<2>| -> Vec<(BlockKey<2>, Vec<u64>)> {
+        let mut v: Vec<_> = g
+            .blocks()
+            .map(|(_, n)| {
+                let f = n.field();
+                let bits = f
+                    .shape()
+                    .interior_box()
+                    .iter()
+                    .flat_map(|c| f.cell(c).iter().map(|x| x.to_bits()).collect::<Vec<_>>())
+                    .collect();
+                (n.key(), bits)
+            })
+            .collect();
+        v.sort_by_key(|(k, _)| *k);
+        v
+    };
+    for mode in [TimeStepMode::Global, TimeStepMode::Subcycled] {
+        let cfg = SolverConfig::new(Euler::<2>::new(1.4), Scheme::muscl_rusanov())
+            .with_refluxing(true)
+            .with_time_step_mode(mode)
+            .with_partitioner(adaptive_blocks::par::Partitioner::round_robin());
+        let (mut gs, _) = build();
+        let mut st = Stepper::new(cfg.clone());
+        let dt = st.stable_dt(&mut gs);
+        st.step(&mut gs, dt, None);
+        let serial = interiors(&gs);
+
+        let (mut gp, _) = build();
+        let mut par = ParStepper::new(cfg.clone());
+        let dt_par = par.stable_dt(&mut gp);
+        assert_eq!(dt.to_bits(), dt_par.to_bits(), "{mode:?}: pool dt");
+        par.step(&mut gp, dt_par);
+        assert!(serial == interiors(&gp), "{mode:?}: Stepper vs ParStepper interiors differ");
+
+        let dist = Machine::run(2, |comm| {
+            let (g, _) = build();
+            let mut sim = DistSim::partitioned(g, comm.nranks(), cfg.clone());
+            let dt = sim.stable_dt(&comm);
+            sim.advance(&comm, dt);
+            sim.gather_full(&comm);
+            (dt, interiors(&sim.grid))
+        })
+        .unwrap();
+        for (dt_dist, state) in dist {
+            assert_eq!(dt.to_bits(), dt_dist.to_bits(), "{mode:?}: dist dt");
+            assert!(serial == state, "{mode:?}: Stepper vs DistSim interiors differ");
+        }
+    }
 }
