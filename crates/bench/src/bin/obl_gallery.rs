@@ -282,13 +282,16 @@ fn main() {
 
     let mut json = String::from("{\n\"scenarios\": [\n");
     for (i, r) in reports.iter().enumerate() {
-        let (dm, de) = r.drift.map_or((-1.0, -1.0), |d| d);
+        // outflow scenarios have no closed budget: their drift is null
+        let (dm, de) = r
+            .drift
+            .map_or(("null".into(), "null".into()), |(m, e)| (format!("{m:.6e}"), format!("{e:.6e}")));
         write!(
             json,
             "{{\"name\": \"{}\", \"blocks_lvl0\": {}, \"blocks_lvl1\": {}, \
              \"blocks_lvl2\": {}, \"cells\": {}, \"solid_cells\": {}, \
              \"cycles\": {}, \"t_end\": {:.9e}, \"wall_ms\": {:.3}, \
-             \"mass_drift\": {dm:.6e}, \"energy_drift\": {de:.6e}}}{}",
+             \"mass_drift\": {dm}, \"energy_drift\": {de}}}{}",
             r.name,
             r.blocks[0],
             r.blocks[1],

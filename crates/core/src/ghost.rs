@@ -402,13 +402,21 @@ impl<const D: usize> GhostExchange<D> {
             GhostTask::ClampCopy { dst, region } => {
                 let m = grid.params().block_dims;
                 let field = grid.block_mut(dst).field_mut();
+                let shape = *field.shape();
+                let ps = shape.plane_stride();
+                let data = field.as_mut_slice();
+                // the clamped sources lie in the interior, never in the
+                // ghost region being written, so each value is copied
+                // straight across its variable plane
                 for c in region.iter() {
                     let mut src = c;
                     for d in 0..D {
                         src[d] = src[d].clamp(0, m[d] - 1);
                     }
-                    let u = field.cell(src).to_vec();
-                    field.set_cell(c, &u);
+                    let (di, si) = (shape.lin(c), shape.lin(src));
+                    for v in 0..shape.nvar {
+                        data[v * ps + di] = data[v * ps + si];
+                    }
                 }
             }
         }
@@ -663,40 +671,31 @@ fn emit_corner_tasks<const D: usize>(
 }
 
 /// Copy `region` of a block's own field from `region + shift` (periodic
-/// self-neighbor in single-root axes). Ghost destinations never alias the
-/// interior source, but Rust cannot see that, so stage through a buffer.
+/// self-neighbor in single-root axes), plane by plane and x-row by x-row.
+/// Ghost destinations never alias the interior source (block extents are
+/// at least `nghost`), so rows move with `copy_within` and no staging.
 fn copy_region_within<const D: usize>(field: &mut FieldBlock<D>, region: IBox<D>, shift: IVec<D>) {
     if region.is_empty() {
         return;
     }
+    debug_assert!(
+        region.intersect(&region.shift(shift)).is_empty(),
+        "self-copy source overlaps its ghost region"
+    );
     let shape = *field.shape();
     let ps = shape.plane_stride();
-    // Plane by plane, x-row by x-row: rows are contiguous in each plane.
     let mut row = region;
     row.hi[0] = row.lo[0] + 1;
     let row_len = (region.hi[0] - region.lo[0]) as usize;
-    let mut buf = vec![0.0; region.volume() as usize * shape.nvar];
     let data = field.as_mut_slice();
-    let mut k = 0;
     for c in row.iter() {
         let mut sc = c;
         for d in 0..D {
             sc[d] += shift[d];
         }
-        let mut si = shape.lin(sc);
-        for _ in 0..shape.nvar {
-            buf[k..k + row_len].copy_from_slice(&data[si..si + row_len]);
-            si += ps;
-            k += row_len;
-        }
-    }
-    let mut k = 0;
-    for c in row.iter() {
-        let mut di = shape.lin(c);
-        for _ in 0..shape.nvar {
-            data[di..di + row_len].copy_from_slice(&buf[k..k + row_len]);
-            di += ps;
-            k += row_len;
+        let (di, si) = (shape.lin(c), shape.lin(sc));
+        for v in 0..shape.nvar {
+            data.copy_within(v * ps + si..v * ps + si + row_len, v * ps + di);
         }
     }
 }

@@ -33,8 +33,9 @@ use ablock_core::index::IVec;
 use ablock_core::ops::ProlongOrder;
 use ablock_obs::{phase, Metrics};
 
-use crate::kernel::{apply_floors_block, FaceFluxStore, Scheme};
-use crate::physics::Physics;
+use crate::kernel::{clamp_flagged, FaceFluxStore, Scheme};
+use crate::lanes::{for_groups, planes, planes_mut, Lanes};
+use crate::physics::{Physics, MAX_VARS, ROW_CHUNK};
 use crate::recon::Recon;
 
 /// Custom physical-boundary ghost synthesizer.
@@ -49,7 +50,7 @@ pub fn ghost_config_for<P: Physics>(phys: &P, scheme: Scheme) -> GhostConfig {
             Recon::FirstOrder => ProlongOrder::Constant,
             Recon::Muscl(_) => ProlongOrder::LinearMinmod,
         },
-        vector_components: phys.vector_components(),
+        vector_components: phys.vector_components().to_vec(),
         corners: false,
     }
 }
@@ -268,46 +269,84 @@ impl<const D: usize> SweepEngine<D> {
     }
 }
 
+/// Apply `op(u, r, s)` to every interior value of `field` (`r` from
+/// `rhs`, `s` from `stage` when given) in lane groups, one x-row chunk at
+/// a time, flagging the cells the positivity floors may clamp from the
+/// new values while they are still in registers; flagged cells then go
+/// through the scalar floors. Solid-masked cells keep their value: it is
+/// written back unchanged, so even a zero RHS cannot flip a `-0.0` sign
+/// bit and immersed-solid state stays bitwise frozen (DESIGN.md §18).
+/// Every cell sees its update before its floor check, as when the two
+/// passes ran over the whole block, so results are bitwise the same.
+/// Returns cells floored.
+fn update_rows<const D: usize, P: Physics>(
+    phys: &P,
+    field: &mut FieldBlock<D>,
+    rhs: &FieldBlock<D>,
+    stage: Option<&FieldBlock<D>>,
+    op: impl Fn(Lanes, Lanes, Lanes) -> Lanes,
+) -> usize {
+    let shape = *field.shape();
+    // the physics' constant, so the per-variable loops unroll
+    let n = phys.nvar();
+    debug_assert_eq!(n, shape.nvar);
+    let ps = shape.plane_stride();
+    let ib = shape.interior_box();
+    let mut rowbox = ib;
+    rowbox.hi[0] = ib.lo[0] + 1;
+    let len = (ib.hi[0] - ib.lo[0]) as usize;
+    let (us, mask) = field.as_mut_slice().split_at_mut(n * ps);
+    let mask: Option<&[f64]> = shape.mask_plane.then_some(mask);
+    let rs = rhs.as_slice();
+    let ss = stage.map(|s| s.as_slice());
+    let mut floored = 0;
+    for rc in rowbox.iter() {
+        let i0 = shape.lin(rc);
+        let mut k0 = 0;
+        while k0 < len {
+            let lanes = (len - k0).min(ROW_CHUNK);
+            let o = i0 + k0;
+            let mut flagged = 0u64;
+            {
+                let rp = planes(&rs[o..], ps, n, lanes);
+                // forward Euler ignores `s`; any planes of the right length do
+                let sp = ss.map_or(rp, |s| planes(&s[o..], ps, n, lanes));
+                let up = planes_mut(&mut us[o..], ps, n, lanes);
+                let solid = mask.map(|m| &m[o..o + lanes]);
+                for_groups!(lanes, |g| {
+                    let mut new = [Lanes::splat(0.0); MAX_VARS];
+                    for v in 0..n {
+                        let x = g.load(up[v]);
+                        let y = op(x, g.load(rp[v]), g.load(sp[v]));
+                        new[v] = match solid {
+                            Some(m) => Lanes::select(g.load(m).is_zero(), y, x),
+                            None => y,
+                        };
+                        g.store(up[v], new[v]);
+                    }
+                    let f = phys.floor_lanes(&new);
+                    for i in 0..g.n {
+                        flagged |= u64::from(f[i]) << (g.k + i);
+                    }
+                });
+            }
+            floored += clamp_flagged(phys, us, ps, o, flagged, mask);
+            k0 += lanes;
+        }
+    }
+    floored
+}
+
 /// Forward-Euler update of one block: `u += dt·r` over the interior, then
 /// positivity floors. Returns cells floored. Solid-masked cells are
-/// skipped outright — even a zero RHS would flip `-0.0` sign bits — so
-/// immersed-solid state stays bitwise frozen (DESIGN.md §18).
+/// skipped outright (see [`update_rows`]).
 pub fn fe_update_block<const D: usize, P: Physics>(
     phys: &P,
     field: &mut FieldBlock<D>,
     rhs: &FieldBlock<D>,
     dt: f64,
 ) -> usize {
-    let shape = *field.shape();
-    let ps = shape.plane_stride();
-    let ib = shape.interior_box();
-    let mut rowbox = ib;
-    rowbox.hi[0] = ib.lo[0] + 1;
-    let row_len = (ib.hi[0] - ib.lo[0]) as usize;
-    let masked = shape.mask_plane;
-    let mo = shape.nvar * ps;
-    let us = field.as_mut_slice();
-    let rs = rhs.as_slice();
-    for rc in rowbox.iter() {
-        let i0 = shape.lin(rc);
-        for v in 0..shape.nvar {
-            let o = v * ps + i0;
-            if masked {
-                for k in 0..row_len {
-                    if us[mo + i0 + k] != 0.0 {
-                        continue;
-                    }
-                    us[o + k] += dt * rs[o + k];
-                }
-            } else {
-                let (urow, rrow) = (&mut us[o..o + row_len], &rs[o..o + row_len]);
-                for (x, &r) in urow.iter_mut().zip(rrow) {
-                    *x += dt * r;
-                }
-            }
-        }
-    }
-    apply_floors_block(phys, field)
+    update_rows(phys, field, rhs, None, |u, r, _| u + dt * r)
 }
 
 /// SSP-RK2 stage 1 on one block: snapshot `u^n` into `stage`, then
@@ -325,6 +364,7 @@ pub fn rk2_stage1_block<const D: usize, P: Physics>(
 
 /// SSP-RK2 stage 2 on one block:
 /// `u^{n+1} = ½u^n + ½(u* + dt·L(u*))` with floors. Returns cells floored.
+/// Solid cells keep `u* == u^n` untouched.
 pub fn rk2_stage2_block<const D: usize, P: Physics>(
     phys: &P,
     field: &mut FieldBlock<D>,
@@ -332,40 +372,7 @@ pub fn rk2_stage2_block<const D: usize, P: Physics>(
     stage: &FieldBlock<D>,
     dt: f64,
 ) -> usize {
-    let shape = *field.shape();
-    let ps = shape.plane_stride();
-    let ib = shape.interior_box();
-    let mut rowbox = ib;
-    rowbox.hi[0] = ib.lo[0] + 1;
-    let row_len = (ib.hi[0] - ib.lo[0]) as usize;
-    let masked = shape.mask_plane;
-    let mo = shape.nvar * ps;
-    let us = field.as_mut_slice();
-    let rs = rhs.as_slice();
-    let ss = stage.as_slice();
-    for rc in rowbox.iter() {
-        let i0 = shape.lin(rc);
-        for v in 0..shape.nvar {
-            let o = v * ps + i0;
-            if masked {
-                // skip solid cells: u* == u^n there, and the averaging
-                // arithmetic must not touch the frozen state
-                for k in 0..row_len {
-                    if us[mo + i0 + k] != 0.0 {
-                        continue;
-                    }
-                    us[o + k] = 0.5 * ss[o + k] + 0.5 * (us[o + k] + dt * rs[o + k]);
-                }
-            } else {
-                let urow = &mut us[o..o + row_len];
-                let (rrow, srow) = (&rs[o..o + row_len], &ss[o..o + row_len]);
-                for (k, x) in urow.iter_mut().enumerate() {
-                    *x = 0.5 * srow[k] + 0.5 * (*x + dt * rrow[k]);
-                }
-            }
-        }
-    }
-    apply_floors_block(phys, field)
+    update_rows(phys, field, rhs, Some(stage), |u, r, s| 0.5 * s + 0.5 * (u + dt * r))
 }
 
 #[cfg(test)]

@@ -4,9 +4,10 @@
 //! primitives: `[ρ, u_0 … u_{D-1}, p]`. The equation of state is a
 //! γ-law: `p = (γ-1)(E − ½ρ|u|²)`.
 
-use crate::physics::Physics;
+use crate::lanes::{or, Lanes, Mask};
+use crate::physics::{Physics, MAX_VARS};
 
-// Row loops below mirror the scalar methods operation for operation —
+// Lane forms below mirror the scalar methods operation for operation —
 // the kernels require the batched and scalar paths to agree bitwise.
 
 /// Euler gas dynamics in `D` dimensions.
@@ -42,6 +43,17 @@ impl<const D: usize> Euler<D> {
     #[inline]
     pub fn sound_speed(&self, u: &[f64]) -> f64 {
         (self.gamma * self.pressure(u).max(0.0) / u[0]).sqrt()
+    }
+
+    /// Lane form of [`Euler::pressure`].
+    #[inline(always)]
+    fn pressure_lanes(&self, u: &[Lanes; MAX_VARS]) -> Lanes {
+        let mut ke = Lanes::splat(0.0);
+        for d in 0..D {
+            ke = ke + u[1 + d] * u[1 + d];
+        }
+        ke = ke * (0.5 / u[0]);
+        (self.gamma - 1.0) * (u[1 + D] - ke)
     }
 
     /// Index of the energy variable.
@@ -105,75 +117,63 @@ impl<const D: usize> Physics for Euler<D> {
         }
     }
 
-    fn vector_components(&self) -> Vec<[usize; 3]> {
-        let mut v = [usize::MAX; 3];
-        for (d, slot) in v.iter_mut().enumerate().take(D) {
-            *slot = 1 + d;
-        }
-        vec![v]
-    }
-
-    fn flux_rows(&self, u: &[f64], su: usize, dir: usize, f: &mut [f64], sf: usize, lanes: usize) {
-        for k in 0..lanes {
-            let rho = u[k];
-            let vd = u[(1 + dir) * su + k] / rho;
-            let mut ke = 0.0;
-            for d in 0..D {
-                ke += u[(1 + d) * su + k] * u[(1 + d) * su + k];
-            }
-            ke *= 0.5 / rho;
-            let p = (self.gamma - 1.0) * (u[(1 + D) * su + k] - ke);
-            f[k] = u[(1 + dir) * su + k];
-            for d in 0..D {
-                f[(1 + d) * sf + k] = u[(1 + d) * su + k] * vd;
-            }
-            f[(1 + dir) * sf + k] += p;
-            f[(1 + D) * sf + k] = (u[(1 + D) * su + k] + p) * vd;
+    fn vector_components(&self) -> &'static [[usize; 3]] {
+        match D {
+            1 => &[[1, usize::MAX, usize::MAX]],
+            2 => &[[1, 2, usize::MAX]],
+            _ => &[[1, 2, 3]],
         }
     }
 
-    fn max_speed_rows(&self, u: &[f64], su: usize, dir: usize, out: &mut [f64], lanes: usize) {
-        for (k, o) in out.iter_mut().enumerate().take(lanes) {
-            let rho = u[k];
-            let vd = (u[(1 + dir) * su + k] / rho).abs();
-            let mut ke = 0.0;
-            for d in 0..D {
-                ke += u[(1 + d) * su + k] * u[(1 + d) * su + k];
-            }
-            ke *= 0.5 / rho;
-            let p = (self.gamma - 1.0) * (u[(1 + D) * su + k] - ke);
-            *o = vd + (self.gamma * p.max(0.0) / rho).sqrt();
+    #[inline(always)]
+    fn flux_speed_lanes<const DIR: usize>(&self, u: &[Lanes; MAX_VARS]) -> ([Lanes; MAX_VARS], Lanes) {
+        let rho = u[0];
+        let vd = u[1 + DIR] / rho;
+        let p = self.pressure_lanes(u);
+        let mut f = [Lanes::splat(0.0); MAX_VARS];
+        f[0] = u[1 + DIR];
+        for d in 0..D {
+            f[1 + d] = u[1 + d] * vd;
         }
+        f[1 + DIR] = f[1 + DIR] + p;
+        f[1 + D] = (u[1 + D] + p) * vd;
+        let speed = vd.abs() + (self.gamma * p.max(Lanes::splat(0.0)) / rho).sqrt();
+        (f, speed)
     }
 
-    fn cons_to_prim_rows(&self, u: &[f64], su: usize, w: &mut [f64], sw: usize, lanes: usize) {
-        for k in 0..lanes {
-            let rho = u[k];
-            if rho <= 0.0 {
-                continue;
-            }
-            w[k] = rho;
-            let mut ke = 0.0;
-            for d in 0..D {
-                w[(1 + d) * sw + k] = u[(1 + d) * su + k] / rho;
-                ke += u[(1 + d) * su + k] * u[(1 + d) * su + k];
-            }
-            ke *= 0.5 / rho;
-            w[(1 + D) * sw + k] = (self.gamma - 1.0) * (u[(1 + D) * su + k] - ke);
-        }
+    #[inline(always)]
+    fn max_speed_lanes<const DIR: usize>(&self, u: &[Lanes; MAX_VARS]) -> Lanes {
+        let p = self.pressure_lanes(u);
+        (u[1 + DIR] / u[0]).abs() + (self.gamma * p.max(Lanes::splat(0.0)) / u[0]).sqrt()
     }
 
-    fn prim_to_cons_rows(&self, w: &[f64], sw: usize, u: &mut [f64], su: usize, lanes: usize) {
-        for k in 0..lanes {
-            let rho = w[k];
-            u[k] = rho;
-            let mut ke = 0.0;
-            for d in 0..D {
-                u[(1 + d) * su + k] = rho * w[(1 + d) * sw + k];
-                ke += w[(1 + d) * sw + k] * w[(1 + d) * sw + k];
-            }
-            u[(1 + D) * su + k] = w[(1 + D) * sw + k] / (self.gamma - 1.0) + 0.5 * rho * ke;
+    #[inline(always)]
+    fn cons_to_prim_lanes(&self, u: &[Lanes; MAX_VARS]) -> [Lanes; MAX_VARS] {
+        let mut w = [Lanes::splat(0.0); MAX_VARS];
+        w[0] = u[0];
+        for d in 0..D {
+            w[1 + d] = u[1 + d] / u[0];
         }
+        w[1 + D] = self.pressure_lanes(u);
+        w
+    }
+
+    #[inline(always)]
+    fn prim_to_cons_lanes(&self, w: &[Lanes; MAX_VARS]) -> [Lanes; MAX_VARS] {
+        let mut u = [Lanes::splat(0.0); MAX_VARS];
+        u[0] = w[0];
+        let mut ke = Lanes::splat(0.0);
+        for d in 0..D {
+            u[1 + d] = w[0] * w[1 + d];
+            ke = ke + w[1 + d] * w[1 + d];
+        }
+        u[1 + D] = w[1 + D] / (self.gamma - 1.0) + 0.5 * w[0] * ke;
+        u
+    }
+
+    #[inline(always)]
+    fn floor_lanes(&self, u: &[Lanes; MAX_VARS]) -> Mask {
+        or(u[0].lt(Lanes::splat(self.rho_floor)), self.pressure_lanes(u).lt(Lanes::splat(self.p_floor)))
     }
 
     fn apply_floors(&self, u: &mut [f64]) -> bool {
@@ -283,7 +283,7 @@ mod tests {
     #[test]
     fn vector_components_momentum() {
         let e = Euler::<2>::new(1.4);
-        assert_eq!(e.vector_components(), vec![[1, 2, usize::MAX]]);
+        assert_eq!(e.vector_components(), &[[1, 2, usize::MAX]]);
         assert_eq!(e.var_names().len(), 4);
     }
 }

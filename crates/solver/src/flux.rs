@@ -11,7 +11,8 @@
 //! Both operate on *conserved* interface states produced by the
 //! reconstruction layer.
 
-use crate::physics::{Physics, MAX_VARS, ROW_CHUNK};
+use crate::lanes::{for_groups, planes, planes_mut, Group, Lanes};
+use crate::physics::{Physics, MAX_VARS};
 
 /// Which approximate Riemann solver the kernel uses.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -62,58 +63,136 @@ pub fn numerical_flux<P: Physics>(
     }
 }
 
-/// Row-batched [`numerical_flux`] over at most [`ROW_CHUNK`] interfaces.
-/// `ul`, `ur` and `out` are variable-major slabs sharing stride `s`
-/// (variable `v` of lane `k` at `[v * s + k]`). Rusanov runs as stride-1
-/// elementwise loops over the row; HLL gathers each lane through the scalar
-/// path (its three-way upwind branch doesn't row-batch). Both paths are
-/// bitwise identical to calling [`numerical_flux`] once per lane.
-#[allow(clippy::too_many_arguments)]
-pub fn numerical_flux_rows<P: Physics>(
+/// The reconstructed states on one side of a run of interfaces, read in
+/// place from variable-major planes of stride `stride` (variable `v` of
+/// lane `k` at `[v * stride + k]`): the primitive state `prim`, moved half
+/// a limited slope towards the interface when `slope` is given — `w = p +
+/// ½s` on the left side, `w = p − ½s` on the right — and taken as is
+/// (first order) otherwise.
+#[derive(Clone, Copy, Debug)]
+pub struct Side<'a> {
+    /// Primitive planes of the cells on this side.
+    pub prim: &'a [f64],
+    /// Limited-slope planes of the same cells (MUSCL), or `None`.
+    pub slope: Option<&'a [f64]>,
+    /// Plane stride of `prim` and `slope`.
+    pub stride: usize,
+}
+
+impl Side<'_> {
+    /// The scalar primitive state of lane `k` (`left` adds the half slope,
+    /// otherwise it is subtracted): the same operations as the lane form.
+    pub(crate) fn state(&self, k: usize, n: usize, left: bool, w: &mut [f64]) {
+        for (v, x) in w[..n].iter_mut().enumerate() {
+            let p = self.prim[v * self.stride + k];
+            *x = match self.slope {
+                None => p,
+                Some(s) if left => p + 0.5 * s[v * self.stride + k],
+                Some(s) => p - 0.5 * s[v * self.stride + k],
+            };
+        }
+    }
+}
+
+/// Row-batched interface fluxes over `lanes` interfaces along `DIR`, from
+/// the reconstructed primitive states of the [`Side`]s left and right of
+/// each interface; the fluxes go to `out` with plane stride `so` (variable
+/// `v` of lane `k` at `[v * so + k]`). Rusanov runs fused in lane groups —
+/// reconstruction, conversion to conserved states, both physical fluxes
+/// and speeds, and the dissipation term without a round trip through
+/// memory; HLL runs each lane through the scalar path (its three-way
+/// upwind branch does not batch). Both are bitwise identical to
+/// [`Physics::prim_to_cons`] and [`numerical_flux`] called once per lane
+/// on the reconstructed states.
+pub fn numerical_flux_rows<P: Physics, const DIR: usize>(
     phys: &P,
     riemann: Riemann,
-    ul: &[f64],
-    ur: &[f64],
-    dir: usize,
+    left: Side,
+    right: Side,
     out: &mut [f64],
-    s: usize,
+    so: usize,
     lanes: usize,
 ) {
-    debug_assert!(lanes <= ROW_CHUNK);
     let n = phys.nvar();
     match riemann {
         Riemann::Rusanov => {
-            let mut fl = [0.0; MAX_VARS * ROW_CHUNK];
-            let mut fr = [0.0; MAX_VARS * ROW_CHUNK];
-            let mut sl = [0.0; ROW_CHUNK];
-            let mut sr = [0.0; ROW_CHUNK];
-            phys.flux_speed_rows(ul, s, dir, &mut fl, ROW_CHUNK, &mut sl, lanes);
-            phys.flux_speed_rows(ur, s, dir, &mut fr, ROW_CHUNK, &mut sr, lanes);
-            for v in 0..n {
-                let flv = &fl[v * ROW_CHUNK..v * ROW_CHUNK + lanes];
-                let frv = &fr[v * ROW_CHUNK..v * ROW_CHUNK + lanes];
-                for k in 0..lanes {
-                    let a = sl[k].max(sr[k]);
-                    out[v * s + k] =
-                        0.5 * (flv[k] + frv[k]) - 0.5 * a * (ur[v * s + k] - ul[v * s + k]);
-                }
+            let pl = planes(left.prim, left.stride, n, lanes);
+            let pr = planes(right.prim, right.stride, n, lanes);
+            let sl = left.slope.map(|s| planes(s, left.stride, n, lanes));
+            let sr = right.slope.map(|s| planes(s, right.stride, n, lanes));
+            let mut fp = planes_mut(out, so, n, lanes);
+            if let (Some(sl), Some(sr)) = (&sl, &sr) {
+                // MUSCL, the common case, with the slope loads unconditional
+                for_groups!(lanes, |g| {
+                    let mut wl = g.load_vars(&pl, n);
+                    let mut wr = g.load_vars(&pr, n);
+                    for v in 0..n {
+                        wl[v] = wl[v] + 0.5 * g.load(sl[v]);
+                        wr[v] = wr[v] - 0.5 * g.load(sr[v]);
+                    }
+                    rusanov_group::<P, DIR>(phys, g, &wl, &wr, &mut fp, n);
+                });
+            } else {
+                for_groups!(lanes, |g| {
+                    let wl = side_lanes(g, &pl, &sl, true, n);
+                    let wr = side_lanes(g, &pr, &sr, false, n);
+                    rusanov_group::<P, DIR>(phys, g, &wl, &wr, &mut fp, n);
+                });
             }
         }
         Riemann::Hll => {
-            let mut ulc = [0.0; MAX_VARS];
-            let mut urc = [0.0; MAX_VARS];
-            let mut fc = [0.0; MAX_VARS];
+            let mut w = [0.0; MAX_VARS];
+            let (mut a, mut b, mut f) = ([0.0; MAX_VARS], [0.0; MAX_VARS], [0.0; MAX_VARS]);
             for k in 0..lanes {
+                left.state(k, n, true, &mut w);
+                phys.prim_to_cons(&w[..n], &mut a[..n]);
+                right.state(k, n, false, &mut w);
+                phys.prim_to_cons(&w[..n], &mut b[..n]);
+                numerical_flux(phys, riemann, &a[..n], &b[..n], DIR, &mut f[..n]);
                 for v in 0..n {
-                    ulc[v] = ul[v * s + k];
-                    urc[v] = ur[v * s + k];
-                }
-                numerical_flux(phys, riemann, &ulc[..n], &urc[..n], dir, &mut fc[..n]);
-                for v in 0..n {
-                    out[v * s + k] = fc[v];
+                    out[v * so + k] = f[v];
                 }
             }
         }
+    }
+}
+
+/// One lane group of a side's reconstructed primitive states.
+#[inline(always)]
+fn side_lanes(
+    g: Group,
+    prim: &[&[f64]; MAX_VARS],
+    slope: &Option<[&[f64]; MAX_VARS]>,
+    left: bool,
+    n: usize,
+) -> [Lanes; MAX_VARS] {
+    let mut w = g.load_vars(prim, n);
+    if let Some(s) = slope {
+        for v in 0..n {
+            let d = 0.5 * g.load(s[v]);
+            w[v] = if left { w[v] + d } else { w[v] - d };
+        }
+    }
+    w
+}
+
+/// One lane group of the fused Rusanov flux from primitive states.
+#[inline(always)]
+fn rusanov_group<P: Physics, const DIR: usize>(
+    phys: &P,
+    g: Group,
+    wl: &[Lanes; MAX_VARS],
+    wr: &[Lanes; MAX_VARS],
+    fp: &mut [&mut [f64]; MAX_VARS],
+    n: usize,
+) {
+    let a = phys.prim_to_cons_lanes(wl);
+    let b = phys.prim_to_cons_lanes(wr);
+    let (fl, sl) = phys.flux_speed_lanes::<DIR>(&a);
+    let (fr, sr) = phys.flux_speed_lanes::<DIR>(&b);
+    let s = sl.max(sr);
+    for v in 0..n {
+        g.store(fp[v], 0.5 * (fl[v] + fr[v]) - 0.5 * s * (b[v] - a[v]));
     }
 }
 

@@ -13,12 +13,13 @@
 //! receives the Powell 8-wave `−(∇·B)(0, B, u, u·B)` source evaluated with
 //! central differences.
 
-use ablock_core::field::FieldBlock;
-use ablock_core::index::{Face, IVec};
+use ablock_core::field::{FieldBlock, FieldShape};
+use ablock_core::index::{Face, IBox, IVec};
 
-use crate::flux::{numerical_flux, numerical_flux_rows, Riemann};
+use crate::flux::{numerical_flux, numerical_flux_rows, Riemann, Side};
+use crate::lanes::{for_groups, planes, planes_mut, Lanes};
 use crate::physics::{Physics, MAX_VARS, ROW_CHUNK};
-use crate::recon::{limited_slope, Recon};
+use crate::recon::{limited_slope_row, Limiter, Recon};
 
 /// Full spatial scheme: reconstruction plus Riemann solver.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -127,22 +128,76 @@ impl<const D: usize> FaceFluxStore<D> {
     }
 }
 
-/// Convert the conserved field to primitives over the whole ghosted box
-/// into `prim` (same variable-major layout and plane stride as the field's
-/// storage), one x-contiguous row at a time. Cells whose density is
-/// non-positive (unfilled ghost corners) are skipped.
-fn primitives<const D: usize, P: Physics>(phys: &P, field: &FieldBlock<D>, prim: &mut Vec<f64>) {
-    prim.resize(field.as_slice().len(), 0.0);
+/// The cells of box `b` on tile `t`: for 3-D blocks the `z = t` slice of
+/// `b`, otherwise `b` itself (a 1-D or 2-D block is one tile).
+fn tile<const D: usize>(mut b: IBox<D>, t: i64) -> IBox<D> {
+    if D == 3 {
+        b.lo[2] = t;
+        b.hi[2] = t + 1;
+    }
+    b
+}
+
+/// The tiles of box `b`: its z range for 3-D blocks, one tile otherwise.
+fn tiles<const D: usize>(b: IBox<D>) -> std::ops::Range<i64> {
+    if D == 3 {
+        b.lo[2]..b.hi[2]
+    } else {
+        0..1
+    }
+}
+
+/// The contiguous run of plane offsets `[a, b)` that covers every cell of
+/// the nonempty single-tile box `bx`: its rows plus the ghost cells
+/// between them.
+fn span<const D: usize>(shape: &FieldShape<D>, bx: IBox<D>) -> (usize, usize) {
+    let mut last = bx.hi;
+    for x in &mut last {
+        *x -= 1;
+    }
+    (shape.lin(bx.lo), shape.lin(last) + 1)
+}
+
+/// Convert the conserved field to primitives into `prim` (same
+/// variable-major layout and plane stride as the field's storage) over the
+/// cells the dimension-split stencil reads — the interior plus, per axis,
+/// the ghost slabs on its two faces — as a few contiguous runs per tile:
+/// interior-z tiles convert their full-width interior rows and the two
+/// y-face slabs, ghost-z tiles their interior rows. The ghost corners are
+/// never converted; the runs pick up only the short ghost-edge stretches
+/// between consecutive face rows (a 4³ block with two ghost layers converts
+/// 336 of its 512 cells, in 16 runs).
+fn primitives<const D: usize, P: Physics>(phys: &P, field: &FieldBlock<D>, prim: &mut [f64]) {
     let shape = *field.shape();
     let ps = shape.plane_stride();
     let u = field.as_slice();
-    let gb = shape.ghosted_box();
-    let mut rowbox = gb;
-    rowbox.hi[0] = gb.lo[0] + 1;
-    let row_len = (gb.hi[0] - gb.lo[0]) as usize;
-    for rc in rowbox.iter() {
-        let base = shape.lin(rc);
-        phys.cons_to_prim_rows(&u[base..], ps, &mut prim[base..], ps, row_len);
+    let ng = shape.nghost;
+    let ib = shape.interior_box();
+    let mut convert = |bx: IBox<D>| {
+        let (a, b) = span(&shape, bx);
+        phys.cons_to_prim_rows(&u[a..], ps, &mut prim[a..], ps, b - a);
+    };
+    for t in tiles(shape.ghosted_box()) {
+        let tb = tile(ib, t);
+        if D == 3 && (t < 0 || t >= shape.dims[2]) {
+            convert(tb);
+            continue;
+        }
+        // full-width interior rows: interior plus both x-face slabs
+        let mut rows = tb;
+        rows.lo[0] -= ng;
+        rows.hi[0] += ng;
+        convert(rows);
+        if D >= 2 {
+            let mut lo = tb;
+            lo.lo[1] = -ng;
+            lo.hi[1] = 0;
+            convert(lo);
+            let mut hi = tb;
+            hi.lo[1] = shape.dims[1];
+            hi.hi[1] = shape.dims[1] + ng;
+            convert(hi);
+        }
     }
 }
 
@@ -171,21 +226,18 @@ pub fn compute_rhs_block_fluxes<const D: usize, P: Physics>(
     h: [f64; D],
     rhs: &mut FieldBlock<D>,
     prim_scratch: &mut Vec<f64>,
-    mut flux_store: Option<&mut FaceFluxStore<D>>,
+    flux_store: Option<&mut FaceFluxStore<D>>,
 ) -> usize {
     let n = phys.nvar();
     debug_assert_eq!(field.shape(), rhs.shape());
     debug_assert!(field.shape().nghost >= scheme.recon.required_ghosts());
     let shape = *field.shape();
-    let strides = shape.strides();
     let ps = shape.plane_stride();
     // Immersed-solid handling (DESIGN.md §18): when the shape carries a
     // mask plane, interfaces between two solid cells get zero flux and
     // solid/fluid interfaces get a reflective-wall flux built by mirroring
     // the fluid state. The maskless path is bitwise untouched.
-    let masked = shape.mask_plane;
-    let mask: &[f64] = if masked { field.mask().expect("mask plane") } else { &[] };
-    let vecs: Vec<[usize; 3]> = if masked { phys.vector_components() } else { Vec::new() };
+    let mask: &[f64] = field.mask().unwrap_or(&[]);
 
     // zero the RHS interior, plane by plane (x rows are contiguous in
     // every variable plane)
@@ -203,238 +255,43 @@ pub fn compute_rhs_block_fluxes<const D: usize, P: Physics>(
         }
     }
 
-    primitives(phys, field, prim_scratch);
-    // MUSCL: the scratch doubles as a slope plane (second half). Each
-    // cell's limited slope is computed once per direction and reused by
-    // both interfaces that touch the cell — the inputs are exactly the
+    // The scratch holds the primitive planes, the slope planes (MUSCL:
+    // each cell's limited slope is computed once per direction and reused
+    // by both interfaces that touch the cell — the inputs are exactly the
     // per-interface stencil differences, so results are bitwise identical
-    // to recomputing them at each interface.
+    // to recomputing them at each interface) and two tile flux buffers. It keeps its length from block to block of
+    // one shape, so a call allocates and clears nothing.
     let field_len = field.as_slice().len();
-    if matches!(scheme.recon, Recon::Muscl(_)) {
-        prim_scratch.resize(2 * field_len, 0.0);
-    }
-    let split = field_len.min(prim_scratch.len());
-    let (prim, slope) = prim_scratch.split_at_mut(split);
-    let prim: &[f64] = prim;
-    let rhs_s = rhs.as_mut_slice();
+    let fs = if D == 3 { shape.strides()[2] as usize } else { shape.allocated_cells() };
+    prim_scratch.resize(2 * field_len + 2 * n * fs, 0.0);
+    let (prim, rest) = prim_scratch.split_at_mut(field_len);
+    let (slope, rest) = rest.split_at_mut(field_len);
+    let (fcur, fprev) = rest.split_at_mut(n * fs);
+    primitives(phys, field, prim);
 
-    // Variable-major row-chunk slabs: variable `v` of lane `k` lives at
-    // `[v * ROW_CHUNK + k]`. Lane `k` is the interface whose RIGHT cell is
-    // the k-th cell of the current x-row chunk.
-    let mut wl = [0.0; MAX_VARS * ROW_CHUNK];
-    let mut wr = [0.0; MAX_VARS * ROW_CHUNK];
-    let mut ul = [0.0; MAX_VARS * ROW_CHUNK];
-    let mut ur = [0.0; MAX_VARS * ROW_CHUNK];
-    let mut f = [0.0; MAX_VARS * ROW_CHUNK];
-    let mut nflux = 0usize;
-
+    let mut sweep = Sweep {
+        phys,
+        scheme,
+        shape,
+        h,
+        prim,
+        slope,
+        mask,
+        rhs: rhs.as_mut_slice(),
+        flux_store,
+        fcur,
+        fprev,
+        fs,
+    };
+    let mut nflux = 0;
     for dir in 0..D {
-        let step = strides[dir] as usize;
-        let inv_h = 1.0 / h[dir];
-        let m_dir = shape.dims[dir];
-        // interface index i in [0, m]: between cells i-1 and i along dir
-        let mut ibox = shape.interior_box();
-        ibox.hi[dir] += 1;
-        // One x-row at a time. For dir == 0 the row spans the m+1 interface
-        // positions; for transverse sweeps every lane of a row shares the
-        // interface index rc[dir]. Either way both the left and the right
-        // cell runs are x-contiguous, so every load below is stride-1.
-        let mut rowbox = ibox;
-        rowbox.hi[0] = ibox.lo[0] + 1;
-        let row_len = (ibox.hi[0] - ibox.lo[0]) as usize;
-        if let Recon::Muscl(lim) = scheme.recon {
-            // fill the slope plane for this direction: every cell an
-            // interface extrapolates from (interior grown by one along
-            // `dir`), one x-row at a time
-            let mut sbox = shape.interior_box();
-            sbox.lo[dir] -= 1;
-            sbox.hi[dir] += 1;
-            let mut srowbox = sbox;
-            srowbox.hi[0] = sbox.lo[0] + 1;
-            let srow_len = (sbox.hi[0] - sbox.lo[0]) as usize;
-            for rc in srowbox.iter() {
-                let b = shape.lin(rc);
-                for v in 0..n {
-                    let p = &prim[v * ps..];
-                    let s = &mut slope[v * ps..];
-                    for j in b..b + srow_len {
-                        s[j] = limited_slope(lim, p[j] - p[j - step], p[j + step] - p[j]);
-                    }
-                }
-                if masked {
-                    // First order at walls: a cell whose slope stencil
-                    // touches a solid cell extrapolates constantly. The
-                    // check uses the ghost masks too, so neighboring blocks
-                    // make the bitwise-same decision at shared interfaces.
-                    for j in b..b + srow_len {
-                        if mask[j - step] != 0.0 || mask[j] != 0.0 || mask[j + step] != 0.0 {
-                            for v in 0..n {
-                                slope[v * ps + j] = 0.0;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        for rc in rowbox.iter() {
-            let base = shape.lin(rc);
-            let mut k0 = 0usize;
-            while k0 < row_len {
-                let lanes = (row_len - k0).min(ROW_CHUNK);
-                let ic0 = base + k0; // right-cell offset of lane 0
-                let im0 = ic0 - step;
-                match scheme.recon {
-                    Recon::FirstOrder => {
-                        phys.prim_to_cons_rows(&prim[im0..], ps, &mut ul, ROW_CHUNK, lanes);
-                        phys.prim_to_cons_rows(&prim[ic0..], ps, &mut ur, ROW_CHUNK, lanes);
-                    }
-                    Recon::Muscl(_) => {
-                        // uL extrapolates from cell i-1 (offset im0+k), uR
-                        // from cell i (offset ic0+k); both reads stride-1
-                        for v in 0..n {
-                            let p = &prim[v * ps..];
-                            let s = &slope[v * ps..];
-                            for k in 0..lanes {
-                                wl[v * ROW_CHUNK + k] = p[im0 + k] + 0.5 * s[im0 + k];
-                                wr[v * ROW_CHUNK + k] = p[ic0 + k] - 0.5 * s[ic0 + k];
-                            }
-                        }
-                        phys.prim_to_cons_rows(&wl, ROW_CHUNK, &mut ul, ROW_CHUNK, lanes);
-                        phys.prim_to_cons_rows(&wr, ROW_CHUNK, &mut ur, ROW_CHUNK, lanes);
-                    }
-                }
-                numerical_flux_rows(
-                    phys,
-                    scheme.riemann,
-                    &ul,
-                    &ur,
-                    dir,
-                    &mut f,
-                    ROW_CHUNK,
-                    lanes,
-                );
-                nflux += lanes;
-
-                if masked {
-                    // Override the lanes that touch a solid cell BEFORE the
-                    // flux-store recording and the RHS accumulation, so the
-                    // refluxing pass sees wall fluxes too. Solid/solid
-                    // interfaces carry nothing; solid/fluid interfaces get
-                    // the reflective-wall flux from the mirrored fluid
-                    // state (the fluid-side reconstruction is first-order
-                    // here because its slope was zeroed above), whose mass
-                    // and energy components are exactly ±0.0 — only the
-                    // normal momentum (wall pressure) survives.
-                    for k in 0..lanes {
-                        let solid_l = mask[im0 + k] != 0.0;
-                        let solid_r = mask[ic0 + k] != 0.0;
-                        if !solid_l && !solid_r {
-                            continue;
-                        }
-                        if solid_l && solid_r {
-                            for v in 0..n {
-                                f[v * ROW_CHUNK + k] = 0.0;
-                            }
-                            continue;
-                        }
-                        let slab = if solid_l { &ur } else { &ul };
-                        let mut uf = [0.0; MAX_VARS];
-                        for (v, x) in uf[..n].iter_mut().enumerate() {
-                            *x = slab[v * ROW_CHUNK + k];
-                        }
-                        let mut um = uf;
-                        for t in &vecs {
-                            um[t[dir]] = -um[t[dir]];
-                        }
-                        let mut fw = [0.0; MAX_VARS];
-                        if solid_l {
-                            numerical_flux(phys, scheme.riemann, &um[..n], &uf[..n], dir, &mut fw[..n]);
-                        } else {
-                            numerical_flux(phys, scheme.riemann, &uf[..n], &um[..n], dir, &mut fw[..n]);
-                        }
-                        for v in 0..n {
-                            f[v * ROW_CHUNK + k] = fw[v];
-                        }
-                    }
-                }
-
-                if let Some(store) = flux_store.as_deref_mut() {
-                    if dir == 0 {
-                        // interface index of lane k is k0 + k
-                        if k0 == 0 {
-                            let fm = store.flux_mut(Face::new(0, false), rc);
-                            for (v, x) in fm.iter_mut().enumerate() {
-                                *x = f[v * ROW_CHUNK];
-                            }
-                        }
-                        if k0 + lanes == row_len {
-                            let fm = store.flux_mut(Face::new(0, true), rc);
-                            for (v, x) in fm.iter_mut().enumerate() {
-                                *x = f[v * ROW_CHUNK + lanes - 1];
-                            }
-                        }
-                    } else {
-                        let i = rc[dir];
-                        if i == 0 || i == m_dir {
-                            let face = Face::new(dir, i == m_dir);
-                            for k in 0..lanes {
-                                let mut c = rc;
-                                c[0] = (k0 + k) as i64;
-                                let fm = store.flux_mut(face, c);
-                                for (v, x) in fm.iter_mut().enumerate() {
-                                    *x = f[v * ROW_CHUNK + k];
-                                }
-                            }
-                        }
-                    }
-                }
-
-                // Accumulate += into right cells before -= into left cells:
-                // per (cell, var) slot this preserves the interface-ascending
-                // order of the scalar kernel (gain from the left interface,
-                // then loss to the right one), keeping results bitwise
-                // identical.
-                if dir == 0 {
-                    let n_plus = lanes.min(m_dir as usize - k0); // lanes with i < m
-                    let k_minus = usize::from(k0 == 0); // first lane with i > 0
-                    for v in 0..n {
-                        let fv = &f[v * ROW_CHUNK..v * ROW_CHUNK + lanes];
-                        let rp = &mut rhs_s[v * ps + ic0..v * ps + ic0 + lanes];
-                        for k in 0..n_plus {
-                            rp[k] += fv[k] * inv_h;
-                        }
-                    }
-                    for v in 0..n {
-                        let fv = &f[v * ROW_CHUNK..v * ROW_CHUNK + lanes];
-                        let rp = &mut rhs_s[v * ps + im0..v * ps + im0 + lanes];
-                        for k in k_minus..lanes {
-                            rp[k] -= fv[k] * inv_h;
-                        }
-                    }
-                } else {
-                    let i = rc[dir];
-                    if i < m_dir {
-                        for v in 0..n {
-                            let fv = &f[v * ROW_CHUNK..v * ROW_CHUNK + lanes];
-                            let rp = &mut rhs_s[v * ps + ic0..v * ps + ic0 + lanes];
-                            for k in 0..lanes {
-                                rp[k] += fv[k] * inv_h;
-                            }
-                        }
-                    }
-                    if i > 0 {
-                        for v in 0..n {
-                            let fv = &f[v * ROW_CHUNK..v * ROW_CHUNK + lanes];
-                            let rp = &mut rhs_s[v * ps + im0..v * ps + im0 + lanes];
-                            for k in 0..lanes {
-                                rp[k] -= fv[k] * inv_h;
-                            }
-                        }
-                    }
-                }
-                k0 += lanes;
-            }
-        }
+        // one monomorphic sweep per direction: `DIR` is a constant in
+        // every row method below
+        nflux += match dir {
+            0 => sweep.run::<0>(),
+            1 => sweep.run::<1>(),
+            _ => sweep.run::<2>(),
+        };
     }
 
     if phys.powell_source() {
@@ -443,59 +300,331 @@ pub fn compute_rhs_block_fluxes<const D: usize, P: Physics>(
     nflux
 }
 
+/// Everything one block's directional sweeps share.
+///
+/// A sweep walks the block tile by tile (z-planes of a 3-D block; a 1-D or
+/// 2-D block is one tile). The interfaces of a tile form one contiguous
+/// run of plane offsets — the interface rows plus the few ghost positions
+/// between them — so the run is cut into [`ROW_CHUNK`]-lane chunks that
+/// pack several short rows each, and every load is stride-1 with no
+/// per-row gather. The ghost lanes between rows are computed and never
+/// read. A tile's fluxes land in a flux buffer indexed like the tile's
+/// cells, from which each cell's RHS takes its left and right interface.
+struct Sweep<'a, const D: usize, P: Physics> {
+    phys: &'a P,
+    scheme: Scheme,
+    shape: FieldShape<D>,
+    h: [f64; D],
+    prim: &'a [f64],
+    slope: &'a mut [f64],
+    /// The solid-mask plane, empty when the block has none.
+    mask: &'a [f64],
+    rhs: &'a mut [f64],
+    flux_store: Option<&'a mut FaceFluxStore<D>>,
+    /// Interface fluxes of the current tile: variable `v` of the interface
+    /// whose right cell has offset `a + i` (`a` the tile's first
+    /// interface) at `[v * fs + i]`.
+    fcur: &'a mut [f64],
+    /// The previous tile's fluxes (the z sweep pairs consecutive tiles).
+    fprev: &'a mut [f64],
+    fs: usize,
+}
+
+impl<const D: usize, P: Physics> Sweep<'_, D, P> {
+    /// The sweep along `DIR`: slopes, then the interface fluxes and the RHS
+    /// accumulation tile by tile. Returns the interfaces evaluated.
+    fn run<const DIR: usize>(&mut self) -> usize {
+        let shape = self.shape;
+        if let Recon::Muscl(lim) = self.scheme.recon {
+            self.slopes::<DIR>(lim);
+        }
+        // interface index i in [0, m]: between cells i-1 and i along DIR
+        let ib = shape.interior_box();
+        let mut ibox = ib;
+        ibox.hi[DIR] += 1;
+        // the x and y sweeps find both interfaces of every cell in one
+        // tile; the z sweep pairs the interface planes of consecutive tiles
+        let across = D == 3 && DIR == 2;
+        let mut a_prev = 0;
+        for t in tiles(ibox) {
+            let tb = tile(ibox, t);
+            let (a, b) = span(&shape, tb);
+            self.tile_fluxes::<DIR>(a, b);
+            if self.flux_store.is_some() {
+                self.record::<DIR>(tb, a);
+            }
+            if across {
+                if t > 0 {
+                    self.accumulate::<DIR>(tile(ib, t - 1), a_prev, true);
+                }
+                std::mem::swap(&mut self.fcur, &mut self.fprev);
+                a_prev = a;
+            } else {
+                self.accumulate::<DIR>(tile(ib, t), a, false);
+            }
+        }
+        (0..D).map(|a| (ibox.hi[a] - ibox.lo[a]) as usize).product()
+    }
+
+    /// Fill the slope planes for `DIR` over every cell an interface
+    /// extrapolates from (interior grown by one along `DIR`), one
+    /// contiguous run per tile.
+    fn slopes<const DIR: usize>(&mut self, lim: Limiter) {
+        let shape = self.shape;
+        let n = self.phys.nvar();
+        let ps = shape.plane_stride();
+        let step = shape.strides()[DIR] as usize;
+        let mut sbox = shape.interior_box();
+        sbox.lo[DIR] -= 1;
+        sbox.hi[DIR] += 1;
+        for t in tiles(sbox) {
+            let (a, b) = span(&shape, tile(sbox, t));
+            for v in 0..n {
+                let p = &self.prim[v * ps..];
+                limited_slope_row(
+                    lim,
+                    &p[a - step..b - step],
+                    &p[a..b],
+                    &p[a + step..b + step],
+                    &mut self.slope[v * ps + a..v * ps + b],
+                );
+            }
+        }
+        if !self.mask.is_empty() {
+            // First order at walls: a cell whose slope stencil touches a
+            // solid cell extrapolates constantly. The check uses the ghost
+            // masks too, so neighboring blocks make the bitwise-same
+            // decision at shared interfaces.
+            let mask = self.mask;
+            let mut rows = sbox;
+            rows.hi[0] = sbox.lo[0] + 1;
+            let len = (sbox.hi[0] - sbox.lo[0]) as usize;
+            for rc in rows.iter() {
+                let b = shape.lin(rc);
+                for j in b..b + len {
+                    if mask[j - step] != 0.0 || mask[j] != 0.0 || mask[j + step] != 0.0 {
+                        for v in 0..n {
+                            self.slope[v * ps + j] = 0.0;
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Fluxes of the interfaces whose right cells are the offsets `[a, b)`
+    /// into `fcur`, in chunks of at most [`ROW_CHUNK`] lanes. The
+    /// reconstruction reads the primitive and slope planes in place: uL
+    /// extrapolates from the left cells (offset `c0 - step`), uR from the
+    /// right cells (offset `c0`).
+    fn tile_fluxes<const DIR: usize>(&mut self, a: usize, b: usize) {
+        let ps = self.shape.plane_stride();
+        let step = self.shape.strides()[DIR] as usize;
+        let muscl = matches!(self.scheme.recon, Recon::Muscl(_));
+        let mut c0 = a;
+        while c0 < b {
+            let lanes = (b - c0).min(ROW_CHUNK);
+            let side = |o: usize| Side {
+                prim: &self.prim[o..],
+                slope: muscl.then(|| &self.slope[o..]),
+                stride: ps,
+            };
+            let (left, right) = (side(c0 - step), side(c0));
+            let out = &mut self.fcur[c0 - a..];
+            numerical_flux_rows::<P, DIR>(self.phys, self.scheme.riemann, left, right, out, self.fs, lanes);
+            if !self.mask.is_empty() {
+                let solid = (&self.mask[c0 - step..], &self.mask[c0..]);
+                wall_fluxes::<DIR, P>(self.phys, self.scheme.riemann, solid, left, right, out, self.fs, lanes);
+            }
+            c0 += lanes;
+        }
+    }
+
+    /// Record the block-face fluxes of interface tile `tb` (first interface
+    /// at offset `a`) in the flux store.
+    fn record<const DIR: usize>(&mut self, tb: IBox<D>, a: usize) {
+        let Some(store) = self.flux_store.as_deref_mut() else { return };
+        let m = self.shape.dims[DIR];
+        for i in [0, m] {
+            let mut fb = tb;
+            fb.lo[DIR] = fb.lo[DIR].max(i);
+            fb.hi[DIR] = fb.hi[DIR].min(i + 1);
+            if fb.is_empty() {
+                continue;
+            }
+            for c in fb.iter() {
+                let o = self.shape.lin(c) - a;
+                for (v, x) in store.flux_mut(Face::new(DIR, i == m), c).iter_mut().enumerate() {
+                    *x = self.fcur[v * self.fs + o];
+                }
+            }
+        }
+    }
+
+    /// Add the flux differences of the interior cells `cells` (one tile)
+    /// to the RHS: `r = (r + F_left / h) - F_right / h`, written as
+    /// `(r + F_left * inv_h) - F_right * inv_h` — the gain from the cell's
+    /// left interface before the loss to its right one, the
+    /// interface-ascending order of the scalar kernel. Both interfaces are
+    /// in `fcur` (first interface at offset `a`), except for the z sweep
+    /// (`across`), where the left ones are the previous tile's in `fprev`
+    /// and the right ones the current tile's.
+    fn accumulate<const DIR: usize>(&mut self, cells: IBox<D>, a: usize, across: bool) {
+        let n = self.phys.nvar();
+        let ps = self.shape.plane_stride();
+        let fs = self.fs;
+        let inv_h = 1.0 / self.h[DIR];
+        // offset of a cell's right interface relative to its left one in
+        // the buffer(s)
+        let (left, right, shift): (&[f64], &[f64], usize) = if across {
+            (&*self.fprev, &*self.fcur, 0)
+        } else {
+            (&*self.fcur, &*self.fcur, self.shape.strides()[DIR] as usize)
+        };
+        let mut rows = cells;
+        rows.hi[0] = cells.lo[0] + 1;
+        let len = (cells.hi[0] - cells.lo[0]) as usize;
+        for rc in rows.iter() {
+            let c = self.shape.lin(rc);
+            for v in 0..n {
+                let r = &mut self.rhs[v * ps + c..v * ps + c + len];
+                let fl = &left[v * fs + c - a..][..len];
+                let fr = &right[v * fs + c - a + shift..][..len];
+                for ((x, &l), &rt) in r.iter_mut().zip(fl).zip(fr) {
+                    *x = *x + l * inv_h - rt * inv_h;
+                }
+            }
+        }
+    }
+}
+
+/// Override the lanes of a chunk that touch a solid cell BEFORE the
+/// flux-store recording and the RHS accumulation, so the refluxing pass
+/// sees wall fluxes too. `solid` holds the mask planes of the left and
+/// right cells. Solid/solid interfaces carry nothing; solid/fluid
+/// interfaces get the reflective-wall flux from the mirrored fluid state
+/// (the fluid-side reconstruction is first-order here because its slope
+/// was zeroed), whose mass and energy components are exactly ±0.0 — only
+/// the normal momentum (wall pressure) survives. The fluid state is
+/// reconstructed and converted with the scalar forms, bitwise equal to the
+/// lane forms. `out` holds the chunk's fluxes with plane stride `so`.
+#[allow(clippy::too_many_arguments)]
+fn wall_fluxes<const DIR: usize, P: Physics>(
+    phys: &P,
+    riemann: Riemann,
+    solid: (&[f64], &[f64]),
+    left: Side,
+    right: Side,
+    out: &mut [f64],
+    so: usize,
+    lanes: usize,
+) {
+    let n = phys.nvar();
+    for k in 0..lanes {
+        let solid_l = solid.0[k] != 0.0;
+        let solid_r = solid.1[k] != 0.0;
+        if !solid_l && !solid_r {
+            continue;
+        }
+        if solid_l && solid_r {
+            for v in 0..n {
+                out[v * so + k] = 0.0;
+            }
+            continue;
+        }
+        let mut w = [0.0; MAX_VARS];
+        if solid_l {
+            right.state(k, n, false, &mut w);
+        } else {
+            left.state(k, n, true, &mut w);
+        }
+        let mut uf = [0.0; MAX_VARS];
+        phys.prim_to_cons(&w[..n], &mut uf[..n]);
+        let mut um = uf;
+        for t in phys.vector_components() {
+            um[t[DIR]] = -um[t[DIR]];
+        }
+        let mut fw = [0.0; MAX_VARS];
+        if solid_l {
+            numerical_flux(phys, riemann, &um[..n], &uf[..n], DIR, &mut fw[..n]);
+        } else {
+            numerical_flux(phys, riemann, &uf[..n], &um[..n], DIR, &mut fw[..n]);
+        }
+        for v in 0..n {
+            out[v * so + k] = fw[v];
+        }
+    }
+}
+
 /// Add the Powell 8-wave source `−(∇·B)(0, B, u, u·B)` over the interior,
 /// with `∇·B` from central differences (requires one valid ghost layer).
+/// Cells where `∇·B` is exactly zero are left untouched.
 pub fn add_powell_source<const D: usize, P: Physics>(
     phys: &P,
     field: &FieldBlock<D>,
     h: [f64; D],
     rhs: &mut FieldBlock<D>,
 ) {
-    let [ibx, iby, ibz] = phys.b_indices().expect("powell source requires B field");
-    let b_idx = [ibx, iby, ibz];
+    let b_idx = phys.b_indices().expect("powell source requires B field");
     let shape = *field.shape();
     let strides = shape.strides();
     let ps = shape.plane_stride();
-    let ie = phys.nvar() - 1;
+    let n = phys.nvar();
+    let ie = n - 1;
     let u = field.as_slice();
     let rhs_s = rhs.as_mut_slice();
     let ib = shape.interior_box();
     let mut rowbox = ib;
     rowbox.hi[0] = ib.lo[0] + 1;
-    let row_len = (ib.hi[0] - ib.lo[0]) as usize;
+    let len = (ib.hi[0] - ib.lo[0]) as usize;
+    let two_h = h.map(|hd| 2.0 * hd);
     for rc in rowbox.iter() {
-        let base = shape.lin(rc);
-        let mut k0 = 0usize;
-        while k0 < row_len {
-            let lanes = (row_len - k0).min(ROW_CHUNK);
-            let i0 = base + k0;
-            // central-difference div B, accumulated per direction over the
-            // row (stride-1 loads: the ±strides[d] shifts stay x-contiguous)
-            let mut divb = [0.0; ROW_CHUNK];
-            for (d, &hd) in h.iter().enumerate() {
-                let s = strides[d] as usize;
-                let bp = &u[b_idx[d] * ps..];
-                for (k, db) in divb[..lanes].iter_mut().enumerate() {
-                    *db += (bp[i0 + k + s] - bp[i0 + k - s]) / (2.0 * hd);
-                }
+        let i0 = shape.lin(rc);
+        let up = planes(&u[i0..], ps, n, len);
+        let rp = planes_mut(&mut rhs_s[i0..], ps, n, len);
+        // the ±strides[d] neighbours of the row's field components, both
+        // x-contiguous
+        let bn: [(&[f64], &[f64]); D] = std::array::from_fn(|d| {
+            let (o, s) = (b_idx[d] * ps + i0, strides[d] as usize);
+            (&u[o - s..o - s + len], &u[o + s..o + s + len])
+        });
+        for_groups!(len, |g| {
+            let mut db = Lanes::splat(0.0);
+            for d in 0..D {
+                db = db + (g.load(bn[d].1) - g.load(bn[d].0)) / two_h[d];
             }
-            for (k, &db) in divb[..lanes].iter().enumerate() {
-                if db == 0.0 {
-                    continue;
-                }
-                let i = i0 + k;
-                let rho = u[i];
-                let v = [u[ps + i] / rho, u[2 * ps + i] / rho, u[3 * ps + i] / rho];
-                let b = [u[ibx * ps + i], u[iby * ps + i], u[ibz * ps + i]];
+            let skip = db.is_zero();
+            if !skip.iter().all(|&z| z) {
+                let uv = g.load_vars(&up, n);
+                let rho = uv[0];
+                let v = [uv[1] / rho, uv[2] / rho, uv[3] / rho];
+                let b = [uv[b_idx[0]], uv[b_idx[1]], uv[b_idx[2]]];
                 let vdotb = v[0] * b[0] + v[1] * b[1] + v[2] * b[2];
-                for j in 0..3 {
-                    rhs_s[(1 + j) * ps + i] -= db * b[j];
-                    rhs_s[b_idx[j] * ps + i] -= db * v[j];
+                let terms = [
+                    (1, db * b[0]),
+                    (2, db * b[1]),
+                    (3, db * b[2]),
+                    (b_idx[0], db * v[0]),
+                    (b_idx[1], db * v[1]),
+                    (b_idx[2], db * v[2]),
+                    (ie, db * vdotb),
+                ];
+                for (var, x) in terms {
+                    let old = g.load(rp[var]);
+                    g.store(rp[var], Lanes::select(skip, old, old - x));
                 }
-                rhs_s[ie * ps + i] -= db * vdotb;
             }
-            k0 += lanes;
-        }
+        });
+    }
+}
+
+/// The `DIR` lane form of [`Physics::max_speed`] for a runtime `dir`.
+#[inline(always)]
+fn max_speed_dir<P: Physics>(phys: &P, dir: usize, u: &[Lanes; MAX_VARS]) -> Lanes {
+    match dir {
+        0 => phys.max_speed_lanes::<0>(u),
+        1 => phys.max_speed_lanes::<1>(u),
+        _ => phys.max_speed_lanes::<2>(u),
     }
 }
 
@@ -508,38 +637,109 @@ pub fn max_rate_block<const D: usize, P: Physics>(
 ) -> f64 {
     let shape = *field.shape();
     let ps = shape.plane_stride();
+    let n = phys.nvar();
     let u = field.as_slice();
     let mask = field.mask();
     let mut rate: f64 = 0.0;
     let ib = shape.interior_box();
     let mut rowbox = ib;
     rowbox.hi[0] = ib.lo[0] + 1;
-    let row_len = (ib.hi[0] - ib.lo[0]) as usize;
-    let mut ms = [[0.0; ROW_CHUNK]; 3];
+    let len = (ib.hi[0] - ib.lo[0]) as usize;
+    let mut rates = [0.0; ROW_CHUNK];
     for rc in rowbox.iter() {
         let base = shape.lin(rc);
-        let mut k0 = 0usize;
-        while k0 < row_len {
-            let lanes = (row_len - k0).min(ROW_CHUNK);
-            for (d, m) in ms.iter_mut().enumerate().take(D) {
-                phys.max_speed_rows(&u[base + k0..], ps, d, m, lanes);
-            }
-            for k in 0..lanes {
+        let mut k0 = 0;
+        while k0 < len {
+            let lanes = (len - k0).min(ROW_CHUNK);
+            let up = planes(&u[base + k0..], ps, n, lanes);
+            let out = &mut rates[..lanes];
+            for_groups!(lanes, |g| {
+                let uv = g.load_vars(&up, n);
+                let mut r = Lanes::splat(0.0);
+                for d in 0..D {
+                    r = r + max_speed_dir(phys, d, &uv) / h[d];
+                }
+                g.store(out, r);
+            });
+            for (k, &r) in out.iter().enumerate() {
                 // solid cells never constrain dt (their frozen state may
                 // be arbitrary, e.g. all-zero)
-                if mask.is_some_and(|m| m[base + k0 + k] != 0.0) {
-                    continue;
+                if !mask.is_some_and(|m| m[base + k0 + k] != 0.0) {
+                    rate = rate.max(r);
                 }
-                let mut r = 0.0;
-                for d in 0..D {
-                    r += ms[d][k] / h[d];
-                }
-                rate = rate.max(r);
             }
             k0 += lanes;
         }
     }
     rate
+}
+
+/// Apply positivity floors to one x-row of `len` cells starting at offset
+/// `i0` of a variable-major block `data` (plane stride `ps`); returns cells
+/// clamped. The lane check runs on whole groups; only flagged lanes are
+/// gathered through the scalar [`Physics::apply_floors`], which decides
+/// and clamps. Cells whose `mask` entry is nonzero are skipped — solid
+/// state must stay bitwise inert.
+fn floor_row<P: Physics>(
+    phys: &P,
+    data: &mut [f64],
+    ps: usize,
+    i0: usize,
+    len: usize,
+    mask: Option<&[f64]>,
+) -> usize {
+    let n = phys.nvar();
+    let mut count = 0;
+    let mut k0 = 0;
+    while k0 < len {
+        let lanes = (len - k0).min(ROW_CHUNK);
+        let mut flagged = 0u64;
+        {
+            let up = planes(&data[i0 + k0..], ps, n, lanes);
+            for_groups!(lanes, |g| {
+                let m = phys.floor_lanes(&g.load_vars(&up, n));
+                for i in 0..g.n {
+                    flagged |= u64::from(m[i]) << (g.k + i);
+                }
+            });
+        }
+        count += clamp_flagged(phys, data, ps, i0 + k0, flagged, mask);
+        k0 += lanes;
+    }
+    count
+}
+
+/// Run the scalar [`Physics::apply_floors`] on the cells at offsets
+/// `i0 + k` of `data` (plane stride `ps`) for every bit `k` set in
+/// `flagged`, skipping solid cells; returns cells clamped.
+pub(crate) fn clamp_flagged<P: Physics>(
+    phys: &P,
+    data: &mut [f64],
+    ps: usize,
+    i0: usize,
+    mut flagged: u64,
+    mask: Option<&[f64]>,
+) -> usize {
+    let n = phys.nvar();
+    let mut count = 0;
+    while flagged != 0 {
+        let i = i0 + flagged.trailing_zeros() as usize;
+        flagged &= flagged - 1;
+        if mask.is_some_and(|m| m[i] != 0.0) {
+            continue;
+        }
+        let mut buf = [0.0; MAX_VARS];
+        for (v, b) in buf[..n].iter_mut().enumerate() {
+            *b = data[i + v * ps];
+        }
+        if phys.apply_floors(&mut buf[..n]) {
+            count += 1;
+            for (v, &b) in buf[..n].iter().enumerate() {
+                data[i + v * ps] = b;
+            }
+        }
+    }
+    count
 }
 
 /// Apply positivity floors over the interior; returns cells clamped.
@@ -549,35 +749,17 @@ pub fn apply_floors_block<const D: usize, P: Physics>(
     phys: &P,
     field: &mut FieldBlock<D>,
 ) -> usize {
+    let shape = *field.shape();
+    let ps = shape.plane_stride();
+    let ib = shape.interior_box();
+    let mut rowbox = ib;
+    rowbox.hi[0] = ib.lo[0] + 1;
+    let len = (ib.hi[0] - ib.lo[0]) as usize;
+    let (state, mask) = field.as_mut_slice().split_at_mut(shape.nvar * ps);
+    let mask: Option<&[f64]> = shape.mask_plane.then_some(mask);
     let mut count = 0;
-    if field.shape().mask_plane {
-        let shape = *field.shape();
-        let ps = shape.plane_stride();
-        let n = shape.nvar;
-        let mo = n * ps;
-        let data = field.as_mut_slice();
-        let mut buf = [0.0; MAX_VARS];
-        for c in shape.interior_box().iter() {
-            let i = shape.lin(c);
-            if data[mo + i] != 0.0 {
-                continue;
-            }
-            for (v, b) in buf[..n].iter_mut().enumerate() {
-                *b = data[i + v * ps];
-            }
-            if phys.apply_floors(&mut buf[..n]) {
-                count += 1;
-                for (v, &b) in buf[..n].iter().enumerate() {
-                    data[i + v * ps] = b;
-                }
-            }
-        }
-    } else {
-        field.for_each_interior(|_, u| {
-            if phys.apply_floors(u) {
-                count += 1;
-            }
-        });
+    for rc in rowbox.iter() {
+        count += floor_row(phys, state, ps, shape.lin(rc), len, mask);
     }
     count
 }

@@ -10,6 +10,8 @@
 //!   reconstruction with minmod / MC / van Leer limiters.
 //! * [`flux`] — Rusanov and HLL approximate Riemann solvers.
 //! * [`kernel`] — the dense per-block update loops Fig. 5 measures.
+//! * [`lanes`] — the fixed-width lane groups the row-batched physics and
+//!   kernel loops compute in, so they compile to packed SIMD.
 //! * [`config`] — [`SolverConfig`], the one construction surface every
 //!   executor consumes (physics, scheme, CFL, ghost config, metrics sink).
 //! * [`engine`] — the shared sweep engine: epoch-keyed ghost-plan cache and
@@ -33,6 +35,7 @@ pub mod engine;
 pub mod euler;
 pub mod flux;
 pub mod kernel;
+pub mod lanes;
 pub mod mhd;
 pub mod physics;
 pub mod poisson;

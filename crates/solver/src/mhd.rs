@@ -11,7 +11,8 @@
 //! [`crate::physics::Physics::powell_source`] is true — the same approach
 //! the paper's group used for the solar-wind runs.
 
-use crate::physics::Physics;
+use crate::lanes::{or, Lanes, Mask};
+use crate::physics::{Physics, MAX_VARS};
 
 /// Index of density.
 pub const IRHO: usize = 0;
@@ -61,6 +62,31 @@ impl IdealMhd {
         let s = a2 + b2;
         let disc = (s * s - 4.0 * a2 * bn2).max(0.0).sqrt();
         (0.5 * (s + disc)).max(0.0).sqrt()
+    }
+
+    /// Lane form of [`IdealMhd::pressure`].
+    #[inline(always)]
+    fn pressure_lanes(&self, u: &[Lanes; MAX_VARS]) -> Lanes {
+        let rho = u[IRHO];
+        let ke = 0.5 * (u[IMX] * u[IMX] + u[IMX + 1] * u[IMX + 1] + u[IMX + 2] * u[IMX + 2]) / rho;
+        let me = 0.5 * (u[IBX] * u[IBX] + u[IBX + 1] * u[IBX + 1] + u[IBX + 2] * u[IBX + 2]);
+        (self.gamma - 1.0) * (u[IE] - ke - me)
+    }
+
+    /// Lane form of [`IdealMhd::fast_speed`] along `DIR`, given the
+    /// lanes' unclamped pressure `p` (as [`IdealMhd::pressure_lanes`]
+    /// computes it).
+    #[inline(always)]
+    fn fast_speed_lanes<const DIR: usize>(&self, u: &[Lanes; MAX_VARS], p: Lanes) -> Lanes {
+        let zero = Lanes::splat(0.0);
+        let rho = u[IRHO];
+        let p = p.max(zero);
+        let a2 = self.gamma * p / rho;
+        let b2 = (u[IBX] * u[IBX] + u[IBX + 1] * u[IBX + 1] + u[IBX + 2] * u[IBX + 2]) / rho;
+        let bn2 = u[IBX + DIR] * u[IBX + DIR] / rho;
+        let s = a2 + b2;
+        let disc = (s * s - 4.0 * a2 * bn2).max(zero).sqrt();
+        (0.5 * (s + disc)).max(zero).sqrt()
     }
 }
 
@@ -128,8 +154,8 @@ impl Physics for IdealMhd {
         &["rho", "mx", "my", "mz", "bx", "by", "bz", "E"]
     }
 
-    fn vector_components(&self) -> Vec<[usize; 3]> {
-        vec![[IMX, IMX + 1, IMX + 2], [IBX, IBX + 1, IBX + 2]]
+    fn vector_components(&self) -> &'static [[usize; 3]] {
+        &[[IMX, IMX + 1, IMX + 2], [IBX, IBX + 1, IBX + 2]]
     }
 
     fn powell_source(&self) -> bool {
@@ -140,150 +166,72 @@ impl Physics for IdealMhd {
         Some([IBX, IBX + 1, IBX + 2])
     }
 
-    // Row loops mirror the scalar methods operation for operation — the
+    // Lane forms mirror the scalar methods operation for operation — the
     // kernels require the batched and scalar paths to agree bitwise.
 
-    fn flux_rows(&self, u: &[f64], su: usize, dir: usize, f: &mut [f64], sf: usize, lanes: usize) {
-        for k in 0..lanes {
-            let rho = u[IRHO * su + k];
-            let inv = 1.0 / rho;
-            let v = [u[IMX * su + k] * inv, u[(IMX + 1) * su + k] * inv, u[(IMX + 2) * su + k] * inv];
-            let b = [u[IBX * su + k], u[(IBX + 1) * su + k], u[(IBX + 2) * su + k]];
-            let e = u[IE * su + k];
-            let ke = 0.5 * (u[IMX * su + k] * u[IMX * su + k]
-                + u[(IMX + 1) * su + k] * u[(IMX + 1) * su + k]
-                + u[(IMX + 2) * su + k] * u[(IMX + 2) * su + k])
-                / rho;
-            let me = 0.5 * (b[0] * b[0] + b[1] * b[1] + b[2] * b[2]);
-            let p = (self.gamma - 1.0) * (e - ke - me);
-            let ptot = p + 0.5 * (b[0] * b[0] + b[1] * b[1] + b[2] * b[2]);
-            let vn = v[dir];
-            let bn = b[dir];
-            let vdotb = v[0] * b[0] + v[1] * b[1] + v[2] * b[2];
-            f[IRHO * sf + k] = rho * vn;
-            for j in 0..3 {
-                f[(IMX + j) * sf + k] = rho * v[j] * vn - bn * b[j];
-                f[(IBX + j) * sf + k] = vn * b[j] - bn * v[j];
-            }
-            f[(IMX + dir) * sf + k] += ptot;
-            f[(IBX + dir) * sf + k] = 0.0;
-            f[IE * sf + k] = (e + ptot) * vn - bn * vdotb;
+    #[inline(always)]
+    fn flux_speed_lanes<const DIR: usize>(&self, u: &[Lanes; MAX_VARS]) -> ([Lanes; MAX_VARS], Lanes) {
+        let rho = u[IRHO];
+        let inv = 1.0 / rho;
+        let v = [u[IMX] * inv, u[IMX + 1] * inv, u[IMX + 2] * inv];
+        let b = [u[IBX], u[IBX + 1], u[IBX + 2]];
+        let p = self.pressure_lanes(u);
+        let ptot = p + 0.5 * (b[0] * b[0] + b[1] * b[1] + b[2] * b[2]);
+        let vn = v[DIR];
+        let bn = b[DIR];
+        let vdotb = v[0] * b[0] + v[1] * b[1] + v[2] * b[2];
+        let mut f = [Lanes::splat(0.0); MAX_VARS];
+        f[IRHO] = rho * vn;
+        for k in 0..3 {
+            f[IMX + k] = rho * v[k] * vn - bn * b[k];
+            f[IBX + k] = vn * b[k] - bn * v[k];
         }
+        f[IMX + DIR] = f[IMX + DIR] + ptot;
+        f[IBX + DIR] = Lanes::splat(0.0);
+        f[IE] = (u[IE] + ptot) * vn - bn * vdotb;
+        let speed = (u[IMX + DIR] / rho).abs() + self.fast_speed_lanes::<DIR>(u, p);
+        (f, speed)
     }
 
-    fn flux_speed_rows(
-        &self,
-        u: &[f64],
-        su: usize,
-        dir: usize,
-        f: &mut [f64],
-        sf: usize,
-        speed: &mut [f64],
-        lanes: usize,
-    ) {
-        // one pass per lane: `rho`, `ke`, `me` and the raw pressure are
-        // written exactly as in `flux_rows`/`max_speed_rows`, so sharing
-        // them keeps both outputs bitwise identical to the two-pass path
-        for k in 0..lanes {
-            let rho = u[IRHO * su + k];
-            let inv = 1.0 / rho;
-            let v = [u[IMX * su + k] * inv, u[(IMX + 1) * su + k] * inv, u[(IMX + 2) * su + k] * inv];
-            let b = [u[IBX * su + k], u[(IBX + 1) * su + k], u[(IBX + 2) * su + k]];
-            let e = u[IE * su + k];
-            let ke = 0.5 * (u[IMX * su + k] * u[IMX * su + k]
-                + u[(IMX + 1) * su + k] * u[(IMX + 1) * su + k]
-                + u[(IMX + 2) * su + k] * u[(IMX + 2) * su + k])
-                / rho;
-            let me = 0.5 * (b[0] * b[0] + b[1] * b[1] + b[2] * b[2]);
-            let p = (self.gamma - 1.0) * (e - ke - me);
-            let ptot = p + 0.5 * (b[0] * b[0] + b[1] * b[1] + b[2] * b[2]);
-            let vn = v[dir];
-            let bn = b[dir];
-            let vdotb = v[0] * b[0] + v[1] * b[1] + v[2] * b[2];
-            f[IRHO * sf + k] = rho * vn;
-            for j in 0..3 {
-                f[(IMX + j) * sf + k] = rho * v[j] * vn - bn * b[j];
-                f[(IBX + j) * sf + k] = vn * b[j] - bn * v[j];
-            }
-            f[(IMX + dir) * sf + k] += ptot;
-            f[(IBX + dir) * sf + k] = 0.0;
-            f[IE * sf + k] = (e + ptot) * vn - bn * vdotb;
-
-            let vn_abs = (u[(IMX + dir) * su + k] / rho).abs();
-            let pc = p.max(0.0);
-            let a2 = self.gamma * pc / rho;
-            let b2 = (u[IBX * su + k] * u[IBX * su + k]
-                + u[(IBX + 1) * su + k] * u[(IBX + 1) * su + k]
-                + u[(IBX + 2) * su + k] * u[(IBX + 2) * su + k])
-                / rho;
-            let bn2 = u[(IBX + dir) * su + k] * u[(IBX + dir) * su + k] / rho;
-            let s = a2 + b2;
-            let disc = (s * s - 4.0 * a2 * bn2).max(0.0).sqrt();
-            speed[k] = vn_abs + (0.5 * (s + disc)).max(0.0).sqrt();
-        }
+    #[inline(always)]
+    fn max_speed_lanes<const DIR: usize>(&self, u: &[Lanes; MAX_VARS]) -> Lanes {
+        (u[IMX + DIR] / u[IRHO]).abs() + self.fast_speed_lanes::<DIR>(u, self.pressure_lanes(u))
     }
 
-    fn max_speed_rows(&self, u: &[f64], su: usize, dir: usize, out: &mut [f64], lanes: usize) {
-        for (k, o) in out.iter_mut().enumerate().take(lanes) {
-            let rho = u[IRHO * su + k];
-            let vn = (u[(IMX + dir) * su + k] / rho).abs();
-            let ke = 0.5 * (u[IMX * su + k] * u[IMX * su + k]
-                + u[(IMX + 1) * su + k] * u[(IMX + 1) * su + k]
-                + u[(IMX + 2) * su + k] * u[(IMX + 2) * su + k])
-                / rho;
-            let me = 0.5 * (u[IBX * su + k] * u[IBX * su + k]
-                + u[(IBX + 1) * su + k] * u[(IBX + 1) * su + k]
-                + u[(IBX + 2) * su + k] * u[(IBX + 2) * su + k]);
-            let p = ((self.gamma - 1.0) * (u[IE * su + k] - ke - me)).max(0.0);
-            let a2 = self.gamma * p / rho;
-            let b2 = (u[IBX * su + k] * u[IBX * su + k]
-                + u[(IBX + 1) * su + k] * u[(IBX + 1) * su + k]
-                + u[(IBX + 2) * su + k] * u[(IBX + 2) * su + k])
-                / rho;
-            let bn2 = u[(IBX + dir) * su + k] * u[(IBX + dir) * su + k] / rho;
-            let s = a2 + b2;
-            let disc = (s * s - 4.0 * a2 * bn2).max(0.0).sqrt();
-            *o = vn + (0.5 * (s + disc)).max(0.0).sqrt();
+    #[inline(always)]
+    fn cons_to_prim_lanes(&self, u: &[Lanes; MAX_VARS]) -> [Lanes; MAX_VARS] {
+        let inv = 1.0 / u[IRHO];
+        let mut w = [Lanes::splat(0.0); MAX_VARS];
+        w[IRHO] = u[IRHO];
+        for k in 0..3 {
+            w[IMX + k] = u[IMX + k] * inv;
+            w[IBX + k] = u[IBX + k];
         }
+        w[IE] = self.pressure_lanes(u);
+        w
     }
 
-    fn cons_to_prim_rows(&self, u: &[f64], su: usize, w: &mut [f64], sw: usize, lanes: usize) {
-        for k in 0..lanes {
-            let rho = u[IRHO * su + k];
-            if rho <= 0.0 {
-                continue;
-            }
-            let inv = 1.0 / rho;
-            w[IRHO * sw + k] = rho;
-            for j in 0..3 {
-                w[(IMX + j) * sw + k] = u[(IMX + j) * su + k] * inv;
-                w[(IBX + j) * sw + k] = u[(IBX + j) * su + k];
-            }
-            let ke = 0.5 * (u[IMX * su + k] * u[IMX * su + k]
-                + u[(IMX + 1) * su + k] * u[(IMX + 1) * su + k]
-                + u[(IMX + 2) * su + k] * u[(IMX + 2) * su + k])
-                / rho;
-            let me = 0.5 * (u[IBX * su + k] * u[IBX * su + k]
-                + u[(IBX + 1) * su + k] * u[(IBX + 1) * su + k]
-                + u[(IBX + 2) * su + k] * u[(IBX + 2) * su + k]);
-            w[IE * sw + k] = (self.gamma - 1.0) * (u[IE * su + k] - ke - me);
+    #[inline(always)]
+    fn prim_to_cons_lanes(&self, w: &[Lanes; MAX_VARS]) -> [Lanes; MAX_VARS] {
+        let mut u = [Lanes::splat(0.0); MAX_VARS];
+        u[IRHO] = w[IRHO];
+        let mut ke = Lanes::splat(0.0);
+        let mut me = Lanes::splat(0.0);
+        for k in 0..3 {
+            u[IMX + k] = w[IRHO] * w[IMX + k];
+            ke = ke + w[IMX + k] * w[IMX + k];
+            u[IBX + k] = w[IBX + k];
+            me = me + w[IBX + k] * w[IBX + k];
         }
+        u[IE] = w[IE] / (self.gamma - 1.0) + 0.5 * w[IRHO] * ke + 0.5 * me;
+        u
     }
 
-    fn prim_to_cons_rows(&self, w: &[f64], sw: usize, u: &mut [f64], su: usize, lanes: usize) {
-        for k in 0..lanes {
-            let rho = w[IRHO * sw + k];
-            u[IRHO * su + k] = rho;
-            let mut ke = 0.0;
-            let mut me = 0.0;
-            for j in 0..3 {
-                u[(IMX + j) * su + k] = rho * w[(IMX + j) * sw + k];
-                ke += w[(IMX + j) * sw + k] * w[(IMX + j) * sw + k];
-                u[(IBX + j) * su + k] = w[(IBX + j) * sw + k];
-                me += w[(IBX + j) * sw + k] * w[(IBX + j) * sw + k];
-            }
-            u[IE * su + k] = w[IE * sw + k] / (self.gamma - 1.0) + 0.5 * rho * ke + 0.5 * me;
-        }
+    #[inline(always)]
+    fn floor_lanes(&self, u: &[Lanes; MAX_VARS]) -> Mask {
+        // `apply_floors` tests the pressure after clamping density, but a
+        // lane whose density clamps is flagged either way
+        or(u[IRHO].lt(Lanes::splat(self.rho_floor)), self.pressure_lanes(u).lt(Lanes::splat(self.p_floor)))
     }
 
     fn apply_floors(&self, u: &mut [f64]) -> bool {

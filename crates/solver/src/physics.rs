@@ -6,12 +6,14 @@
 //! systems the paper's evaluation needs are [`crate::euler::Euler`] (gas
 //! dynamics) and [`crate::mhd::IdealMhd`] (the solar-wind workload).
 
+use crate::lanes::{any, for_groups, planes, planes_mut, Lanes, Mask, LANES};
+
 /// Maximum conserved variables any supported system uses (ideal MHD: 8).
 pub const MAX_VARS: usize = 8;
 
-/// Lanes per row chunk in the row-batched kernels: the sweep processes
-/// x-contiguous runs of at most this many interfaces at a time, so row
-/// scratch can live in fixed `MAX_VARS * ROW_CHUNK` stack slabs.
+/// Lanes per row chunk in the row-batched kernels: the sweep packs
+/// x-contiguous runs of interfaces into slabs of at most this many lanes,
+/// so row scratch can live in fixed `MAX_VARS * ROW_CHUNK` stack slabs.
 pub const ROW_CHUNK: usize = 64;
 
 /// A hyperbolic system of conservation laws, `∂u/∂t + ∇·F(u) = S(u)`.
@@ -46,8 +48,9 @@ pub trait Physics: Clone + Send + Sync + 'static {
     fn var_names(&self) -> &'static [&'static str];
 
     /// Index triples of variables forming spatial vectors (momentum,
-    /// magnetic field). Reflecting boundaries flip the normal component.
-    fn vector_components(&self) -> Vec<[usize; 3]>;
+    /// magnetic field). Reflecting boundaries flip the normal component;
+    /// `usize::MAX` marks an axis the system has no component along.
+    fn vector_components(&self) -> &'static [[usize; 3]];
 
     /// True if the kernel should add the Powell 8-wave `-(∇·B)(0,B,u,u·B)`
     /// source term (ideal MHD only).
@@ -66,103 +69,175 @@ pub trait Physics: Clone + Send + Sync + 'static {
         false
     }
 
-    // --- Row-batched forms -------------------------------------------------
+    // --- Lane groups -------------------------------------------------------
     //
-    // The SoA kernels hand these methods *variable-major slabs*: variable
-    // `v` of lane `k` lives at `slab[v * stride + k]`, so each variable is a
-    // stride-1 run over the lanes. The defaults gather every lane and call
-    // the scalar method — always correct. Implementations should override
-    // them with elementwise loops that perform the *same arithmetic per
-    // lane*; the kernels (and the cross-backend differential suite) rely on
-    // row and scalar paths being bitwise identical.
+    // The lane forms take one group of `LANES` states per variable
+    // (`u[v].0[i]` is variable `v` of lane `i`) and return the results the
+    // same way. Only the first `nvar()` entries are meaningful. The
+    // defaults run the scalar method once per lane — always correct.
+    // Overrides must perform the *same IEEE operations in the same order*
+    // as the scalar methods, lane by lane: the kernels, the golden digests
+    // and the cross-backend differential suites rely on row and scalar
+    // paths being bitwise identical (`crates/solver/tests/rows_vs_scalar.rs`
+    // checks every override against its scalar method).
 
-    /// Row-batched [`Physics::flux`]: `lanes` states in slab `u` (stride
-    /// `su`), fluxes written to slab `f` (stride `sf`).
-    fn flux_rows(&self, u: &[f64], su: usize, dir: usize, f: &mut [f64], sf: usize, lanes: usize) {
+    /// Lane form of [`Physics::flux`] and [`Physics::max_speed`] along
+    /// `DIR` together, sharing the per-lane subexpressions (density
+    /// inverse, pressure) the two have in common.
+    #[inline(always)]
+    fn flux_speed_lanes<const DIR: usize>(&self, u: &[Lanes; MAX_VARS]) -> ([Lanes; MAX_VARS], Lanes) {
         let n = self.nvar();
-        let mut uc = [0.0; MAX_VARS];
-        let mut fc = [0.0; MAX_VARS];
-        for k in 0..lanes {
+        let mut f = [Lanes::splat(0.0); MAX_VARS];
+        let mut s = Lanes::splat(0.0);
+        for i in 0..LANES {
+            let uc = lane(u, n, i);
+            let mut fc = [0.0; MAX_VARS];
+            self.flux(&uc[..n], DIR, &mut fc[..n]);
+            s.0[i] = self.max_speed(&uc[..n], DIR);
             for v in 0..n {
-                uc[v] = u[v * su + k];
-            }
-            self.flux(&uc[..n], dir, &mut fc[..n]);
-            for v in 0..n {
-                f[v * sf + k] = fc[v];
+                f[v].0[i] = fc[v];
             }
         }
+        (f, s)
     }
 
-    /// Row-batched [`Physics::max_speed`]: one speed per lane into `out`.
-    fn max_speed_rows(&self, u: &[f64], su: usize, dir: usize, out: &mut [f64], lanes: usize) {
+    /// Lane form of [`Physics::max_speed`] along `DIR`.
+    #[inline(always)]
+    fn max_speed_lanes<const DIR: usize>(&self, u: &[Lanes; MAX_VARS]) -> Lanes {
         let n = self.nvar();
-        let mut uc = [0.0; MAX_VARS];
-        for (k, o) in out.iter_mut().enumerate().take(lanes) {
-            for v in 0..n {
-                uc[v] = u[v * su + k];
-            }
-            *o = self.max_speed(&uc[..n], dir);
+        let mut s = Lanes::splat(0.0);
+        for i in 0..LANES {
+            s.0[i] = self.max_speed(&lane(u, n, i)[..n], DIR);
         }
+        s
     }
 
-    /// Row-batched flux and max signal speed in one call — what a Rusanov
-    /// interface needs from each side. The default is the two separate
-    /// passes; physics models override it to share the per-lane
-    /// subexpressions (density inverse, pressure) the two computations
-    /// have in common. Overrides must evaluate every shared term with the
-    /// exact expression the separate methods use, so fused and unfused
-    /// paths agree bitwise.
+    /// Lane form of [`Physics::cons_to_prim`].
+    #[inline(always)]
+    fn cons_to_prim_lanes(&self, u: &[Lanes; MAX_VARS]) -> [Lanes; MAX_VARS] {
+        let n = self.nvar();
+        per_lane(u, n, |uc, wc| self.cons_to_prim(uc, wc))
+    }
+
+    /// Lane form of [`Physics::prim_to_cons`].
+    #[inline(always)]
+    fn prim_to_cons_lanes(&self, w: &[Lanes; MAX_VARS]) -> [Lanes; MAX_VARS] {
+        let n = self.nvar();
+        per_lane(w, n, |wc, uc| self.prim_to_cons(wc, uc))
+    }
+
+    /// Lanes [`Physics::apply_floors`] may clamp. Unset lanes must be
+    /// ones it leaves untouched; set lanes go through the scalar method,
+    /// which decides. The default sets every lane.
+    #[inline(always)]
+    fn floor_lanes(&self, _u: &[Lanes; MAX_VARS]) -> Mask {
+        [true; LANES]
+    }
+
+    // --- Rows ----------------------------------------------------------------
+    //
+    // Row forms over *variable-major slabs*: variable `v` of lane `k` lives
+    // at `slab[v * stride + k]`, so each variable is a stride-1 run. Each
+    // plane is cut to `lanes` once and walked in lane groups; nothing past
+    // `lanes` is read or written. These are built on the lane forms above
+    // and are not meant to be overridden.
+
+    /// Row-batched [`Physics::flux`] and [`Physics::max_speed`] along
+    /// `DIR`: `lanes` states in slab `u` (stride `su`), fluxes written to
+    /// slab `f` (stride `sf`), speeds to `speed`.
     #[allow(clippy::too_many_arguments)]
-    fn flux_speed_rows(
+    fn flux_speed_rows<const DIR: usize>(
         &self,
         u: &[f64],
         su: usize,
-        dir: usize,
         f: &mut [f64],
         sf: usize,
         speed: &mut [f64],
         lanes: usize,
     ) {
-        self.flux_rows(u, su, dir, f, sf, lanes);
-        self.max_speed_rows(u, su, dir, speed, lanes);
+        let n = self.nvar();
+        let up = planes(u, su, n, lanes);
+        let mut fp = planes_mut(f, sf, n, lanes);
+        let speed = &mut speed[..lanes];
+        for_groups!(lanes, |g| {
+            let (fl, s) = self.flux_speed_lanes::<DIR>(&g.load_vars(&up, n));
+            g.store_vars(&mut fp, n, &fl);
+            g.store(speed, s);
+        });
     }
 
-    /// Row-batched [`Physics::cons_to_prim`] with the kernel's ghost-corner
-    /// guard: lanes whose density (variable 0) is non-positive are left
-    /// untouched in `w` (unfilled ghost corners hold zeros; the sweep never
-    /// reads them, but the scratch must not be clobbered with NaNs).
+    /// Row-batched [`Physics::max_speed`] along `DIR`: one speed per lane
+    /// into `out`.
+    fn max_speed_rows<const DIR: usize>(&self, u: &[f64], su: usize, out: &mut [f64], lanes: usize) {
+        let n = self.nvar();
+        let up = planes(u, su, n, lanes);
+        let out = &mut out[..lanes];
+        for_groups!(lanes, |g| {
+            g.store(out, self.max_speed_lanes::<DIR>(&g.load_vars(&up, n)));
+        });
+    }
+
+    /// Row-batched [`Physics::cons_to_prim`] with the kernel's ghost
+    /// guard: lanes whose density (variable 0) is `<= 0` are left
+    /// untouched in `w` (solid cells may hold zeros; their primitives are
+    /// never used, but the scratch must not be clobbered with NaNs).
     fn cons_to_prim_rows(&self, u: &[f64], su: usize, w: &mut [f64], sw: usize, lanes: usize) {
         let n = self.nvar();
-        let mut uc = [0.0; MAX_VARS];
-        let mut wc = [0.0; MAX_VARS];
-        for k in 0..lanes {
-            if u[k] > 0.0 {
+        let up = planes(u, su, n, lanes);
+        let mut wp = planes_mut(w, sw, n, lanes);
+        for_groups!(lanes, |g| {
+            let uv = g.load_vars(&up, n);
+            let wv = self.cons_to_prim_lanes(&uv);
+            let skip = uv[0].le(Lanes::splat(0.0));
+            if any(skip) {
                 for v in 0..n {
-                    uc[v] = u[v * su + k];
+                    let old = g.load(wp[v]);
+                    g.store(wp[v], Lanes::select(skip, old, wv[v]));
                 }
-                self.cons_to_prim(&uc[..n], &mut wc[..n]);
-                for v in 0..n {
-                    w[v * sw + k] = wc[v];
-                }
+            } else {
+                g.store_vars(&mut wp, n, &wv);
             }
-        }
+        });
     }
 
     /// Row-batched [`Physics::prim_to_cons`].
     fn prim_to_cons_rows(&self, w: &[f64], sw: usize, u: &mut [f64], su: usize, lanes: usize) {
         let n = self.nvar();
-        let mut wc = [0.0; MAX_VARS];
-        let mut uc = [0.0; MAX_VARS];
-        for k in 0..lanes {
-            for v in 0..n {
-                wc[v] = w[v * sw + k];
-            }
-            self.prim_to_cons(&wc[..n], &mut uc[..n]);
-            for v in 0..n {
-                u[v * su + k] = uc[v];
-            }
+        let wp = planes(w, sw, n, lanes);
+        let mut up = planes_mut(u, su, n, lanes);
+        for_groups!(lanes, |g| {
+            g.store_vars(&mut up, n, &self.prim_to_cons_lanes(&g.load_vars(&wp, n)));
+        });
+    }
+}
+
+/// Lane `i` of a lane-group state, as a scalar state vector.
+#[inline(always)]
+fn lane(u: &[Lanes; MAX_VARS], n: usize, i: usize) -> [f64; MAX_VARS] {
+    let mut c = [0.0; MAX_VARS];
+    for v in 0..n {
+        c[v] = u[v].0[i];
+    }
+    c
+}
+
+/// Apply a scalar state map to every lane of a group.
+#[inline(always)]
+fn per_lane(
+    x: &[Lanes; MAX_VARS],
+    n: usize,
+    f: impl Fn(&[f64], &mut [f64]),
+) -> [Lanes; MAX_VARS] {
+    let mut y = [Lanes::splat(0.0); MAX_VARS];
+    for i in 0..LANES {
+        let xc = lane(x, n, i);
+        let mut yc = [0.0; MAX_VARS];
+        f(&xc[..n], &mut yc[..n]);
+        for v in 0..n {
+            y[v].0[i] = yc[v];
         }
     }
+    y
 }
 
 /// Velocity vector from momentum and density (helper for implementations).
@@ -197,8 +272,8 @@ mod tests {
         fn var_names(&self) -> &'static [&'static str] {
             &["q"]
         }
-        fn vector_components(&self) -> Vec<[usize; 3]> {
-            Vec::new()
+        fn vector_components(&self) -> &'static [[usize; 3]] {
+            &[]
         }
     }
 

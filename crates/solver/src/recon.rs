@@ -10,6 +10,8 @@
 //! returns the left/right interface states; limiters are the classics:
 //! minmod, monotonized central (MC), and van Leer's harmonic limiter.
 
+use crate::lanes::{for_groups, Lanes};
+
 /// Slope limiter for MUSCL reconstruction.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Limiter {
@@ -71,6 +73,47 @@ pub fn limited_slope(limiter: Limiter, db: f64, df: f64) -> f64 {
             }
         }
     }
+}
+
+/// Limited slopes of one row: `out[j]` is the slope of cell `j` from its
+/// backward neighbour `pm[j]`, itself `pc[j]` and its forward neighbour
+/// `pp[j]` (all slices as long as `out`). Bitwise identical to
+/// [`limited_slope`]`(limiter, pc[j] - pm[j], pp[j] - pc[j])` per cell; the
+/// limiter is chosen once per row and each branch becomes a lane select.
+pub fn limited_slope_row(limiter: Limiter, pm: &[f64], pc: &[f64], pp: &[f64], out: &mut [f64]) {
+    match limiter {
+        Limiter::Minmod => slope_row_with(pm, pc, pp, out, |db, df| {
+            Lanes::select(db.abs().lt(df.abs()), db, df)
+        }),
+        Limiter::MonotonizedCentral => slope_row_with(pm, pc, pp, out, |db, df| {
+            let c = 0.5 * (db + df);
+            let lim = 2.0 * db.abs().min(df.abs());
+            c.signum() * c.abs().min(lim)
+        }),
+        Limiter::VanLeer => slope_row_with(pm, pc, pp, out, |db, df| 2.0 * db * df / (db + df)),
+    }
+}
+
+/// [`limited_slope_row`] for one limiter: `sloped(db, df)` is the
+/// limiter's branch for differences of equal sign; lanes where
+/// `db * df <= 0` get `0.0`.
+#[inline(always)]
+fn slope_row_with(
+    pm: &[f64],
+    pc: &[f64],
+    pp: &[f64],
+    out: &mut [f64],
+    sloped: impl Fn(Lanes, Lanes) -> Lanes,
+) {
+    let len = out.len();
+    let (pm, pc, pp) = (&pm[..len], &pc[..len], &pp[..len]);
+    let zero = Lanes::splat(0.0);
+    for_groups!(len, |g| {
+        let c = g.load(pc);
+        let db = c - g.load(pm);
+        let df = g.load(pp) - c;
+        g.store(out, Lanes::select((db * df).le(zero), zero, sloped(db, df)));
+    });
 }
 
 /// Reconstruct the two states at the `i−1/2` interface from the four-cell

@@ -279,7 +279,7 @@ mod tests {
             grid,
             GhostConfig {
                 prolong_order: ProlongOrder::LinearMinmod,
-                vector_components: e.vector_components(),
+                vector_components: e.vector_components().to_vec(),
                 corners: false,
             },
         );

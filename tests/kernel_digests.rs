@@ -22,6 +22,7 @@
 //! Re-record (only for an intended arithmetic change):
 //! `cargo test --release --test kernel_digests -- --ignored --nocapture`
 
+use ablock_testkit::{Fnv64, Rng};
 use adaptive_blocks::core::field::{FieldBlock, FieldShape};
 use adaptive_blocks::core::index::Face;
 use adaptive_blocks::solver::engine::{rk2_stage1_block, rk2_stage2_block};
@@ -29,7 +30,6 @@ use adaptive_blocks::solver::{
     compute_rhs_block_fluxes, max_rate_block, Euler, FaceFluxStore, IdealMhd, Limiter, Physics,
     Recon, Riemann, Scheme,
 };
-use ablock_testkit::{Fnv64, Rng};
 
 const RECONS: [(&str, Recon); 4] = [
     ("first", Recon::FirstOrder),
@@ -50,7 +50,10 @@ struct Block<const D: usize, P> {
 /// True when `c` lies outside the interior along two or more axes (a
 /// ghost edge or corner, which a face-only exchange never fills).
 fn is_edge_ghost<const D: usize>(shape: &FieldShape<D>, c: [i64; D]) -> bool {
-    (0..D).filter(|&d| c[d] < 0 || c[d] >= shape.dims[d]).count() >= 2
+    (0..D)
+        .filter(|&d| c[d] < 0 || c[d] >= shape.dims[d])
+        .count()
+        >= 2
 }
 
 /// Solid cells of the masked cases: a ball off the block centre.
@@ -139,8 +142,15 @@ fn run_case<const D: usize, P: Physics>(
     let mut hash = Fnv64::new();
     let mut rhs = FieldBlock::zeros(shape);
     let mut store = FaceFluxStore::new(shape.dims, n);
-    let nflux =
-        compute_rhs_block_fluxes(&b.phys, scheme, &field, b.h, &mut rhs, scratch, Some(&mut store));
+    let nflux = compute_rhs_block_fluxes(
+        &b.phys,
+        scheme,
+        &field,
+        b.h,
+        &mut rhs,
+        scratch,
+        Some(&mut store),
+    );
     hash.write_u64(nflux as u64);
     for c in shape.interior_box().iter() {
         for v in 0..n {
@@ -299,7 +309,11 @@ fn kernel_digests_are_frozen() {
             bad.push(format!("{name}: got {d:#018x}, recorded {rd:#018x}"));
         }
     }
-    assert!(bad.is_empty(), "kernel arithmetic changed:\n{}", bad.join("\n"));
+    assert!(
+        bad.is_empty(),
+        "kernel arithmetic changed:\n{}",
+        bad.join("\n")
+    );
     // the floor path is part of what the digests pin
     assert!(got.iter().any(|c| c.2 > 0), "no case exercised the floors");
 }
