@@ -283,9 +283,10 @@ fn main() {
     let mut json = String::from("{\n\"scenarios\": [\n");
     for (i, r) in reports.iter().enumerate() {
         // outflow scenarios have no closed budget: their drift is null
-        let (dm, de) = r
-            .drift
-            .map_or(("null".into(), "null".into()), |(m, e)| (format!("{m:.6e}"), format!("{e:.6e}")));
+        let (dm, de) = match r.drift {
+            Some((m, e)) => (format!("{m:.6e}"), format!("{e:.6e}")),
+            None => ("null".into(), "null".into()),
+        };
         write!(
             json,
             "{{\"name\": \"{}\", \"blocks_lvl0\": {}, \"blocks_lvl1\": {}, \

@@ -33,7 +33,7 @@ use ablock_core::index::IVec;
 use ablock_core::ops::ProlongOrder;
 use ablock_obs::{phase, Metrics};
 
-use crate::kernel::{clamp_flagged, FaceFluxStore, Scheme};
+use crate::kernel::{FaceFluxStore, Scheme};
 use crate::lanes::{for_groups, planes, planes_mut, Lanes};
 use crate::physics::{Physics, MAX_VARS, ROW_CHUNK};
 use crate::recon::Recon;
@@ -335,6 +335,39 @@ fn update_rows<const D: usize, P: Physics>(
         }
     }
     floored
+}
+
+/// Run the scalar [`Physics::apply_floors`] on the cells at offsets
+/// `i0 + k` of `data` (plane stride `ps`) for every bit `k` set in
+/// `flagged`, skipping solid cells; returns cells clamped.
+fn clamp_flagged<P: Physics>(
+    phys: &P,
+    data: &mut [f64],
+    ps: usize,
+    i0: usize,
+    mut flagged: u64,
+    mask: Option<&[f64]>,
+) -> usize {
+    let n = phys.nvar();
+    let mut count = 0;
+    while flagged != 0 {
+        let i = i0 + flagged.trailing_zeros() as usize;
+        flagged &= flagged - 1;
+        if mask.is_some_and(|m| m[i] != 0.0) {
+            continue;
+        }
+        let mut buf = [0.0; MAX_VARS];
+        for (v, b) in buf[..n].iter_mut().enumerate() {
+            *b = data[i + v * ps];
+        }
+        if phys.apply_floors(&mut buf[..n]) {
+            count += 1;
+            for (v, &b) in buf[..n].iter().enumerate() {
+                data[i + v * ps] = b;
+            }
+        }
+    }
+    count
 }
 
 /// Forward-Euler update of one block: `u += dt·r` over the interior, then

@@ -126,7 +126,10 @@ impl<const D: usize> Physics for Euler<D> {
     }
 
     #[inline(always)]
-    fn flux_speed_lanes<const DIR: usize>(&self, u: &[Lanes; MAX_VARS]) -> ([Lanes; MAX_VARS], Lanes) {
+    fn flux_speed_lanes<const DIR: usize>(
+        &self,
+        u: &[Lanes; MAX_VARS],
+    ) -> ([Lanes; MAX_VARS], Lanes) {
         let rho = u[0];
         let vd = u[1 + DIR] / rho;
         let p = self.pressure_lanes(u);
@@ -173,7 +176,8 @@ impl<const D: usize> Physics for Euler<D> {
 
     #[inline(always)]
     fn floor_lanes(&self, u: &[Lanes; MAX_VARS]) -> Mask {
-        or(u[0].lt(Lanes::splat(self.rho_floor)), self.pressure_lanes(u).lt(Lanes::splat(self.p_floor)))
+        let p = self.pressure_lanes(u);
+        or(u[0].lt(Lanes::splat(self.rho_floor)), p.lt(Lanes::splat(self.p_floor)))
     }
 
     fn apply_floors(&self, u: &mut [f64]) -> bool {

@@ -259,8 +259,9 @@ pub fn compute_rhs_block_fluxes<const D: usize, P: Physics>(
     // each cell's limited slope is computed once per direction and reused
     // by both interfaces that touch the cell — the inputs are exactly the
     // per-interface stencil differences, so results are bitwise identical
-    // to recomputing them at each interface) and two tile flux buffers. It keeps its length from block to block of
-    // one shape, so a call allocates and clears nothing.
+    // to recomputing them at each interface) and two tile flux buffers.
+    // It keeps its length from block to block of one shape, so a call
+    // allocates and clears nothing.
     let field_len = field.as_slice().len();
     let fs = if D == 3 { shape.strides()[2] as usize } else { shape.allocated_cells() };
     prim_scratch.resize(2 * field_len + 2 * n * fs, 0.0);
@@ -431,10 +432,11 @@ impl<const D: usize, P: Physics> Sweep<'_, D, P> {
             };
             let (left, right) = (side(c0 - step), side(c0));
             let out = &mut self.fcur[c0 - a..];
-            numerical_flux_rows::<P, DIR>(self.phys, self.scheme.riemann, left, right, out, self.fs, lanes);
+            let (phys, riemann, fs) = (self.phys, self.scheme.riemann, self.fs);
+            numerical_flux_rows::<P, DIR>(phys, riemann, left, right, out, fs, lanes);
             if !self.mask.is_empty() {
                 let solid = (&self.mask[c0 - step..], &self.mask[c0..]);
-                wall_fluxes::<DIR, P>(self.phys, self.scheme.riemann, solid, left, right, out, self.fs, lanes);
+                wall_fluxes::<DIR, P>(phys, riemann, solid, left, right, out, fs, lanes);
             }
             c0 += lanes;
         }
@@ -674,96 +676,6 @@ pub fn max_rate_block<const D: usize, P: Physics>(
     rate
 }
 
-/// Apply positivity floors to one x-row of `len` cells starting at offset
-/// `i0` of a variable-major block `data` (plane stride `ps`); returns cells
-/// clamped. The lane check runs on whole groups; only flagged lanes are
-/// gathered through the scalar [`Physics::apply_floors`], which decides
-/// and clamps. Cells whose `mask` entry is nonzero are skipped — solid
-/// state must stay bitwise inert.
-fn floor_row<P: Physics>(
-    phys: &P,
-    data: &mut [f64],
-    ps: usize,
-    i0: usize,
-    len: usize,
-    mask: Option<&[f64]>,
-) -> usize {
-    let n = phys.nvar();
-    let mut count = 0;
-    let mut k0 = 0;
-    while k0 < len {
-        let lanes = (len - k0).min(ROW_CHUNK);
-        let mut flagged = 0u64;
-        {
-            let up = planes(&data[i0 + k0..], ps, n, lanes);
-            for_groups!(lanes, |g| {
-                let m = phys.floor_lanes(&g.load_vars(&up, n));
-                for i in 0..g.n {
-                    flagged |= u64::from(m[i]) << (g.k + i);
-                }
-            });
-        }
-        count += clamp_flagged(phys, data, ps, i0 + k0, flagged, mask);
-        k0 += lanes;
-    }
-    count
-}
-
-/// Run the scalar [`Physics::apply_floors`] on the cells at offsets
-/// `i0 + k` of `data` (plane stride `ps`) for every bit `k` set in
-/// `flagged`, skipping solid cells; returns cells clamped.
-pub(crate) fn clamp_flagged<P: Physics>(
-    phys: &P,
-    data: &mut [f64],
-    ps: usize,
-    i0: usize,
-    mut flagged: u64,
-    mask: Option<&[f64]>,
-) -> usize {
-    let n = phys.nvar();
-    let mut count = 0;
-    while flagged != 0 {
-        let i = i0 + flagged.trailing_zeros() as usize;
-        flagged &= flagged - 1;
-        if mask.is_some_and(|m| m[i] != 0.0) {
-            continue;
-        }
-        let mut buf = [0.0; MAX_VARS];
-        for (v, b) in buf[..n].iter_mut().enumerate() {
-            *b = data[i + v * ps];
-        }
-        if phys.apply_floors(&mut buf[..n]) {
-            count += 1;
-            for (v, &b) in buf[..n].iter().enumerate() {
-                data[i + v * ps] = b;
-            }
-        }
-    }
-    count
-}
-
-/// Apply positivity floors over the interior; returns cells clamped.
-/// Solid cells are skipped — their frozen state must stay bitwise inert,
-/// and floors would otherwise clamp e.g. an all-zero solid interior.
-pub fn apply_floors_block<const D: usize, P: Physics>(
-    phys: &P,
-    field: &mut FieldBlock<D>,
-) -> usize {
-    let shape = *field.shape();
-    let ps = shape.plane_stride();
-    let ib = shape.interior_box();
-    let mut rowbox = ib;
-    rowbox.hi[0] = ib.lo[0] + 1;
-    let len = (ib.hi[0] - ib.lo[0]) as usize;
-    let (state, mask) = field.as_mut_slice().split_at_mut(shape.nvar * ps);
-    let mask: Option<&[f64]> = shape.mask_plane.then_some(mask);
-    let mut count = 0;
-    for rc in rowbox.iter() {
-        count += floor_row(phys, state, ps, shape.lin(rc), len, mask);
-    }
-    count
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -899,7 +811,9 @@ mod tests {
             u[0] = if c[0] == 3 { -1.0 } else { 1.0 };
             u[2] = 1.0;
         });
-        let n = apply_floors_block(&e, &mut field);
+        // a zero-dt forward-Euler update leaves the state and floors it
+        let rhs = FieldBlock::zeros(shape);
+        let n = crate::engine::fe_update_block(&e, &mut field, &rhs, 0.0);
         assert_eq!(n, 1);
         assert!(field.at([3], 0) > 0.0);
     }

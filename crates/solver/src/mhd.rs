@@ -170,7 +170,10 @@ impl Physics for IdealMhd {
     // kernels require the batched and scalar paths to agree bitwise.
 
     #[inline(always)]
-    fn flux_speed_lanes<const DIR: usize>(&self, u: &[Lanes; MAX_VARS]) -> ([Lanes; MAX_VARS], Lanes) {
+    fn flux_speed_lanes<const DIR: usize>(
+        &self,
+        u: &[Lanes; MAX_VARS],
+    ) -> ([Lanes; MAX_VARS], Lanes) {
         let rho = u[IRHO];
         let inv = 1.0 / rho;
         let v = [u[IMX] * inv, u[IMX + 1] * inv, u[IMX + 2] * inv];
@@ -231,7 +234,8 @@ impl Physics for IdealMhd {
     fn floor_lanes(&self, u: &[Lanes; MAX_VARS]) -> Mask {
         // `apply_floors` tests the pressure after clamping density, but a
         // lane whose density clamps is flagged either way
-        or(u[IRHO].lt(Lanes::splat(self.rho_floor)), self.pressure_lanes(u).lt(Lanes::splat(self.p_floor)))
+        let p = self.pressure_lanes(u);
+        or(u[IRHO].lt(Lanes::splat(self.rho_floor)), p.lt(Lanes::splat(self.p_floor)))
     }
 
     fn apply_floors(&self, u: &mut [f64]) -> bool {

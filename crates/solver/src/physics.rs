@@ -85,7 +85,10 @@ pub trait Physics: Clone + Send + Sync + 'static {
     /// `DIR` together, sharing the per-lane subexpressions (density
     /// inverse, pressure) the two have in common.
     #[inline(always)]
-    fn flux_speed_lanes<const DIR: usize>(&self, u: &[Lanes; MAX_VARS]) -> ([Lanes; MAX_VARS], Lanes) {
+    fn flux_speed_lanes<const DIR: usize>(
+        &self,
+        u: &[Lanes; MAX_VARS],
+    ) -> ([Lanes; MAX_VARS], Lanes) {
         let n = self.nvar();
         let mut f = [Lanes::splat(0.0); MAX_VARS];
         let mut s = Lanes::splat(0.0);
@@ -168,7 +171,13 @@ pub trait Physics: Clone + Send + Sync + 'static {
 
     /// Row-batched [`Physics::max_speed`] along `DIR`: one speed per lane
     /// into `out`.
-    fn max_speed_rows<const DIR: usize>(&self, u: &[f64], su: usize, out: &mut [f64], lanes: usize) {
+    fn max_speed_rows<const DIR: usize>(
+        &self,
+        u: &[f64],
+        su: usize,
+        out: &mut [f64],
+        lanes: usize,
+    ) {
         let n = self.nvar();
         let up = planes(u, su, n, lanes);
         let out = &mut out[..lanes];
