@@ -120,25 +120,17 @@ pub fn numerical_flux_rows<P: Physics, const DIR: usize>(
             let pr = planes(right.prim, right.stride, n, lanes);
             let sl = left.slope.map(|s| planes(s, left.stride, n, lanes));
             let sr = right.slope.map(|s| planes(s, right.stride, n, lanes));
-            let mut fp = planes_mut(out, so, n, lanes);
-            if let (Some(sl), Some(sr)) = (&sl, &sr) {
-                // MUSCL, the common case, with the slope loads unconditional
-                for_groups!(lanes, |g| {
-                    let mut wl = g.load_vars(&pl, n);
-                    let mut wr = g.load_vars(&pr, n);
-                    for v in 0..n {
-                        wl[v] = wl[v] + 0.5 * g.load(sl[v]);
-                        wr[v] = wr[v] - 0.5 * g.load(sr[v]);
-                    }
-                    rusanov_group::<P, DIR>(phys, g, &wl, &wr, &mut fp, n);
-                });
-            } else {
-                for_groups!(lanes, |g| {
-                    let wl = side_lanes(g, &pl, &sl, true, n);
-                    let wr = side_lanes(g, &pr, &sr, false, n);
-                    rusanov_group::<P, DIR>(phys, g, &wl, &wr, &mut fp, n);
-                });
-            }
+            let fp = planes_mut(out, so, n, lanes);
+            for_groups!(lanes, |g| {
+                let a = phys.prim_to_cons_lanes(&side_lanes(g, &pl, &sl, true, n));
+                let b = phys.prim_to_cons_lanes(&side_lanes(g, &pr, &sr, false, n));
+                let (fl, spl) = phys.flux_speed_lanes::<DIR>(&a);
+                let (fr, spr) = phys.flux_speed_lanes::<DIR>(&b);
+                let s = spl.max(spr);
+                for v in 0..n {
+                    g.store(fp[v], 0.5 * (fl[v] + fr[v]) - 0.5 * s * (b[v] - a[v]));
+                }
+            });
         }
         Riemann::Hll => {
             let mut w = [0.0; MAX_VARS];
@@ -174,26 +166,6 @@ fn side_lanes(
         }
     }
     w
-}
-
-/// One lane group of the fused Rusanov flux from primitive states.
-#[inline(always)]
-fn rusanov_group<P: Physics, const DIR: usize>(
-    phys: &P,
-    g: Group,
-    wl: &[Lanes; MAX_VARS],
-    wr: &[Lanes; MAX_VARS],
-    fp: &mut [&mut [f64]; MAX_VARS],
-    n: usize,
-) {
-    let a = phys.prim_to_cons_lanes(wl);
-    let b = phys.prim_to_cons_lanes(wr);
-    let (fl, sl) = phys.flux_speed_lanes::<DIR>(&a);
-    let (fr, sr) = phys.flux_speed_lanes::<DIR>(&b);
-    let s = sl.max(sr);
-    for v in 0..n {
-        g.store(fp[v], 0.5 * (fl[v] + fr[v]) - 0.5 * s * (b[v] - a[v]));
-    }
 }
 
 #[cfg(test)]

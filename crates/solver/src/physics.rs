@@ -11,9 +11,10 @@ use crate::lanes::{any, for_groups, planes, planes_mut, Lanes, Mask, LANES};
 /// Maximum conserved variables any supported system uses (ideal MHD: 8).
 pub const MAX_VARS: usize = 8;
 
-/// Lanes per row chunk in the row-batched kernels: the sweep packs
-/// x-contiguous runs of interfaces into slabs of at most this many lanes,
-/// so row scratch can live in fixed `MAX_VARS * ROW_CHUNK` stack slabs.
+/// Lanes per chunk in the row-batched kernels: a sweep cuts each tile's
+/// contiguous run of interfaces into chunks of at most this many lanes,
+/// and the CFL scan and stage updates cut long rows the same way (a
+/// chunk's floor flags fit one `u64`).
 pub const ROW_CHUNK: usize = 64;
 
 /// A hyperbolic system of conservation laws, `∂u/∂t + ∇·F(u) = S(u)`.
