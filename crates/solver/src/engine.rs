@@ -371,8 +371,9 @@ fn clamp_flagged<P: Physics>(
 }
 
 /// Forward-Euler update of one block: `u += dt·r` over the interior, then
-/// positivity floors. Returns cells floored. Solid-masked cells are
-/// skipped outright (see [`update_rows`]).
+/// positivity floors. Returns cells floored. Solid-masked cells keep
+/// their value bitwise — even a zero RHS would flip `-0.0` sign bits — so
+/// immersed-solid state stays frozen (DESIGN.md §18).
 pub fn fe_update_block<const D: usize, P: Physics>(
     phys: &P,
     field: &mut FieldBlock<D>,
